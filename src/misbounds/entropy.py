@@ -24,14 +24,11 @@ from .errors import (
     TooFewClassesError,
 )
 from .model import JointModel, PosteriorProfile, validate_joint
+from .tv_bounds import INTEGER_SNAP, _snapped_ceil
 
 # Domain-edge slack for entropy arguments; beyond it the input is an error,
 # within it the value is clamped onto the closed domain.
 H_SLACK = 1e-12
-
-# exp(H) lands next to an integer whenever H is near a knot ln m; snap
-# before the ceiling so the branch index cannot jump off by one.
-INTEGER_SNAP = 1e-9
 
 BISECT_TOL = 1e-13
 BISECT_MAX_ITER = 200
@@ -135,8 +132,10 @@ def upper_fm(h: float) -> float:
     """Feder-Merhav upper bound, piecewise linear in H with knots at ln m.
 
     On [ln m, ln(m+1)] the bound climbs from 1 - 1/m to 1 - 1/(m+1).  The
-    branch index e = ceil(exp(H)) - 1 degenerates at H = 0; the value 0 is
-    the continuity limit there and is what a zero-entropy model demands.
+    branch index e = ceil(exp(H)) - 1 is snapped, because exp(H) lands next
+    to an integer whenever H is near a knot ln m.  Below about 1e-9 the snap
+    sends exp(H) to 1 and e to 0, so e is held at 1: the first branch,
+    h / (2 ln 2), is the bound on all of [0, ln 2] and is 0 at H = 0.
 
     Accepts h down to -INTEGER_SNAP so that probing continuity around the
     first knot (ln 1 = 0) stays legal.
@@ -144,14 +143,7 @@ def upper_fm(h: float) -> float:
     if h < -INTEGER_SNAP:
         raise NegativeEntropyError(f"h={h!r} must be >= 0")
     h = max(h, 0.0)
-    t = math.exp(h)
-    nearest = round(t)
-    if abs(t - nearest) <= INTEGER_SNAP:
-        e = int(nearest) - 1
-    else:
-        e = math.ceil(t) - 1
-    if e == 0:
-        return 0.0
+    e = max(_snapped_ceil(math.exp(h)) - 1, 1)
     slope_term = (h - math.log(e)) / math.log1p(1.0 / e)
     return (e - 1.0) / e + slope_term / (e * (e + 1.0))
 

@@ -169,6 +169,11 @@ class TestUpperFM:
         for h in (0.05, 0.3, 0.6, math.log(2)):
             assert upper_fm(h) == pytest.approx(h / (2 * math.log(2)), abs=1e-13)
 
+    def test_first_branch_holds_below_snap_tolerance(self):
+        # exp(h) snaps to 1 here; the branch must stay h / (2 ln 2), not 0
+        for h in (1e-300, 1e-15, 1e-11, 1e-9):
+            assert upper_fm(h) == h / (2 * math.log(2))
+
     def test_frozen_references(self):
         for h, expected in (
             (0.3, 0.21640425613334452),

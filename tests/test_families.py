@@ -1,6 +1,7 @@
 """Parametric profile families and the QPSK noise mapping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,9 +215,17 @@ class TestCompLoProfile:
             assert entropy_of_profile(p).h == pytest.approx(math.log(ell), abs=1e-12)
             assert 1 - p.a.max() == pytest.approx(1 - 1 / ell, abs=1e-15)
 
-    def test_guaranteed_set_is_quiet(self):
-        import warnings
+    def test_delta_closed_form_at_large_k(self):
+        # rank weights reach k - 1 on unit mass, so a small delta carries an
+        # absolute error of order k ulps of 1 rather than a relative one
+        for k, ell in ((10**5, 10**5 - 3), (10**6, 10**6 - 1), (10**6, 2), (10**6, 500_000)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DomainWarning)
+                p = comp_lo_profile(k, ell)
+            tol = k * np.finfo(float).eps
+            assert delta_of_profile(p).delta == pytest.approx(k - ell, rel=1e-12, abs=tol)
 
+    def test_guaranteed_set_is_quiet(self):
         for k, ell in ((5, 2), (6, 2), (9, 5), (30, 29)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -260,6 +269,10 @@ class TestCompHiProfile:
             p = comp_hi_profile(k, nu)
             assert delta_of_profile(p).delta == pytest.approx(k - nu, abs=1e-12)
             assert_valid_profile(p)
+
+    def test_delta_closed_form_at_large_k(self):
+        p = comp_hi_profile(10**6, 2.0)
+        assert delta_of_profile(p).delta == pytest.approx(10**6 - 2, rel=1e-12)
 
     def test_stats_helper_matches_profile(self):
         for k, nu in ((7, 2.0), (11, 3.5), (40, 1.2)):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -291,6 +292,31 @@ class TestCli:
         assert main(["report", "--family", spec]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["p_star"] == pytest.approx(3 / 7, abs=1e-12)
+
+    def test_report_near_deterministic_family_keeps_upper_fm_above(self, capsys):
+        for q in (2e-11, 1e-12):
+            spec = json.dumps({"family": "exponential", "k": 2, "q": q})
+            assert main(["report", "--family", spec]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["U_FM"] > 0.0
+            assert doc["U_FM"] >= doc["p_star"]
+
+    def test_report_large_profile_stays_linear_in_memory(self, tmp_path):
+        # a k x k temporary at k = 20000 would take 3.2 GB
+        spec = json.dumps({"family": "exponential", "k": 20000, "q": 0.3})
+        with open(tmp_path / "out.json", "w+") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "misbounds.cli", "report", "--family", spec],
+                stdout=out,
+            )
+            # wait4 gives the peak RSS of this child alone
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            out.seek(0)
+            doc = json.load(out)
+        assert proc.returncode == 0
+        assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+        assert doc["delta"] == pytest.approx(19997.5, rel=1e-12)
 
     def test_report_requires_exactly_one_input(self, capsys):
         assert main(["report"]) == 1

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misbounds import (
     OutOfRangeError,
@@ -67,6 +69,51 @@ class TestDeltaOfProfile:
                 for j in range(i + 1, p.k)
             )
             assert delta_of_profile(p).delta == pytest.approx(naive, abs=1e-13)
+
+
+def _exact_pairwise_sum(w: np.ndarray) -> Fraction:
+    """Sum over row pairs y < z of sum_x |w[y,x] - w[z,x]|, exactly."""
+    total = Fraction(0)
+    for col in w.T:
+        a = [Fraction(float(v)) for v in col]
+        total += sum(abs(a[i] - a[j]) for i in range(len(a)) for j in range(i + 1, len(a)))
+    return total
+
+
+@st.composite
+def _joint_matrices(draw):
+    """Normalized k x n matrices with tied entries, zeros and dead columns."""
+    k = draw(st.integers(2, 40))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(entry, min_size=k * n, max_size=k * n))).reshape(k, n)
+    w[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    if w.sum() == 0.0:
+        w[0, 0] = 1.0
+    return w / w.sum()
+
+
+class TestDeltaAgainstExactPairwiseSum:
+    # Sorting is exact; the row sums and the rank-weighted dot product each
+    # round, with the weights |2i - k - 1| < k, so the float result stays
+    # within about (k + n)(k - 1) ulps of 1 of the exact sum.
+    @settings(max_examples=150, deadline=None)
+    @given(raw=_joint_matrices(), data=st.data())
+    def test_model_and_profiles(self, raw, data):
+        model = validate_joint(raw)
+        k, n = model.k, model.n
+        eps = np.finfo(float).eps
+        exact = _exact_pairwise_sum(model.w)
+        assert abs(Fraction(delta(model).delta) - exact) <= (k + n) * (k - 1) * eps
+
+        for col in model.w.T:
+            if col.sum() > 0.0:
+                p = validate_profile(col / col.sum())
+                err = Fraction(delta_of_profile(p).delta) - _exact_pairwise_sum(p.a[:, None])
+                assert abs(err) <= (k + 1) * (k - 1) * eps
+
+        perm = data.draw(st.permutations(range(k)))
+        assert delta(validate_joint(model.w[perm])).delta == delta(model).delta
 
 
 class TestLowerBound:
