@@ -2,10 +2,11 @@
 
 Conditional Shannon entropy H (in nats) pins the Bayes error between the
 Feder-Merhav bounds: the lower bound inverts the strictly increasing map
-phi(p) = p ln(k-1) + h2(p), and the upper bound is piecewise linear in H
-with knots at ln m.  Renyi conditional entropy (base 2) exists only to
-evaluate a published two-class fixture on which a claimed entropy upper
-bound goes negative, refuting it.
+phi(p) = p ln(k-1) + h2(p) by a safeguarded Newton iteration that is
+accurate relative to p, so it stays a lower bound for tiny p*, and the upper
+bound is piecewise linear in H with knots at ln m.  Renyi conditional
+entropy (base 2) exists only to evaluate a published two-class fixture on
+which a claimed entropy upper bound goes negative, refuting it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from .tv_bounds import INTEGER_SNAP, _snapped_ceil
 # within it the value is clamped onto the closed domain.
 H_SLACK = 1e-12
 
-BISECT_TOL = 1e-13
-BISECT_MAX_ITER = 200
+# Newton inverse of phi: a step within four ulps of p ends it, and the cap is
+# only a safety net, since it converges in a handful of steps.
+NEWTON_MAX_ITER = 50
+_FOUR_ULPS = 4.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,61 @@ def phi(k: int, p: float) -> float:
     return p * math.log(k - 1) + _h2(p)
 
 
+def _phi_inverse(k: int, h: float) -> tuple:
+    """Root of phi(k, p) = h for 0 < h < ln k, by bracketed Newton iteration.
+
+    phi is concave and increasing, with phi'(p) = ln((k-1)(1-p)/p).  A
+    Newton step from left of the root stays left of it; one from the right
+    can overshoot, and a step that leaves the bracket [lo, hi] is replaced
+    by the bracket midpoint.  The seed is the small-p asymptote
+    p = h / (1 + ln(k-1) + ln(1/p)), iterated twice from p = h, or, near
+    the top, the quadratic ln k - h = k^2/(2(k-1)) (1-1/k-p)^2.
+
+    Iteration stops when the Newton step is within a few ulps of p, or when
+    the residual is down to the rounding level of phi itself; near the top,
+    where phi is flat, only the second test can end it.  Returns
+    (p, iterations, residual) with residual = phi(p) - h.
+    """
+    top = 1.0 - 1.0 / k
+    log_km1 = math.log(k - 1)
+    gap = math.log(k) - h
+    # the quadratic dominates phi's expansion about the top while p is within
+    # about 1/k of it, that is for gap below about 1/(2k)
+    if gap < 0.5 / k:
+        p = top - math.sqrt(2.0 * (k - 1) * gap) / k
+    else:
+        # the second pass writes ln p1 = ln h - ln(1 + ln(k-1) - ln h), so no
+        # logarithm is taken of an iterate that may have underflowed
+        first = 1.0 + log_km1 - math.log(h)
+        p = h / (first + math.log(first))
+        if p == 0.0:
+            # the root lies below the smallest subnormal double
+            return 0.0, 0, -h
+    lo, hi = 0.0, top
+    rounding = 4.0 * math.ulp(h)
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
+        log_p = math.log(p)
+        log_q = math.log1p(-p)
+        residual = p * (log_km1 - log_p) - (1.0 - p) * log_q - h
+        step = residual / (log_km1 + log_q - log_p)
+        if abs(step) <= _FOUR_ULPS * p or abs(residual) <= rounding:
+            break
+        if residual < 0.0:
+            lo = p
+        else:
+            hi = p
+        p -= step
+        if not lo < p < hi:
+            p = 0.5 * (lo + hi)
+    return p, iterations, residual
+
+
 def lower_fm(k: int, h: float) -> float:
     """Feder-Merhav lower bound: the unique p in [0, 1-1/k] with phi(p) = h.
 
-    Plain bisection; phi is strictly increasing, so the bracket always
-    halves onto the root.
+    Safeguarded Newton inverse (see _phi_inverse), a few ulps from the root
+    relative to p wherever phi is well conditioned, down to p ~ 1e-300;
+    nearer the top it is as exact as phi's rounding allows.
     """
     if k < 2:
         raise TooFewClassesError(f"need at least 2 classes, got k={k}")
@@ -116,16 +169,7 @@ def lower_fm(k: int, h: float) -> float:
     # endpoint itself is the best-conditioned answer.
     if top - h <= H_SLACK:
         return 1.0 - 1.0 / k
-    lo, hi = 0.0, 1.0 - 1.0 / k
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if phi(k, mid) < h:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _phi_inverse(k, h)[0]
 
 
 def upper_fm(h: float) -> float:

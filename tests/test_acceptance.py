@@ -165,7 +165,7 @@ def test_6_flat_support_margins_positive_and_scaled_limit():
 
 
 def test_7_entropy_bound_endpoints_and_inversion():
-    """U_FM knots equal 1 - 1/m; phi round-trips its bisection inverse."""
+    """U_FM knots equal 1 - 1/m; phi round-trips its Newton inverse."""
     worst_knot = max(abs(upper_fm(math.log(m)) - (1 - 1 / m)) for m in range(1, 21))
     worst_round_trip = 0.0
     for k in range(2, 21):

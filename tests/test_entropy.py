@@ -6,8 +6,11 @@ High-precision reference values in this file were produced with mpmath at
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from misbounds import (
     BadBetaError,
@@ -24,6 +27,11 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
+from misbounds.entropy import H_SLACK, _phi_inverse
+from misbounds.tv_bounds import _compositions
+
+# class counts spanning the binary case to a very wide alphabet
+K_GRID = (2, 3, 8, 100, 10**6)
 
 H2_02 = 0.5004024235381879  # binary entropy of 0.2, nats
 
@@ -149,11 +157,97 @@ class TestLowerFM:
         vals = [lower_fm(4, float(h)) for h in grid]
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
+    def test_relative_accuracy_in_the_tail(self):
+        # accuracy relative to p: an absolute tolerance cannot resolve these roots
+        for k in K_GRID:
+            for p in (1e-300, 1e-100, 1e-15, 1e-9):
+                assert lower_fm(k, phi(k, p)) == pytest.approx(p, rel=1e-12, abs=0)
+
+    def test_subnormal_entropy(self):
+        # the root of phi = h lies below h; at 5e-324 it underflows to 0
+        assert lower_fm(2, 5e-324) == 0.0
+        for k in (2, 10**6):
+            for h in (1e-321, 1e-310, 1e-308):
+                assert 0.0 <= lower_fm(k, h) <= h
+
+    @given(
+        k=st.integers(2, 10**6),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+        v=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_round_trip_and_monotone_property(self, k, u, v):
+        # log p uniform on [ln 1e-300, ln(1 - 1/k))
+        top = 1.0 - 1.0 / k
+        log_lo = -300.0 * math.log(10.0)
+        p, p2 = (min(math.exp(log_lo + t * (math.log(top) - log_lo)), top) for t in (u, v))
+        h, h2 = phi(k, p), phi(k, p2)
+        x, x2 = lower_fm(k, h), lower_fm(k, h2)
+        if math.log(k) - h <= H_SLACK:
+            assert x == top
+        else:
+            assert phi(k, x) == pytest.approx(h, rel=1e-12, abs=0)
+        if p <= top / 2:
+            # phi is well conditioned here, so p itself is recovered
+            assert x == pytest.approx(p, rel=1e-12, abs=0)
+        if h <= h2:
+            # monotone up to the inverse's few-ulp accuracy
+            assert x <= x2 * (1.0 + 1e-12)
+
     def test_entropy_domain_enforced(self):
         with pytest.raises(EntropyOutOfRangeError):
             lower_fm(3, math.log(3) + 0.01)
         with pytest.raises(EntropyOutOfRangeError):
             lower_fm(3, -0.01)
+
+
+class TestPhiInverse:
+    def test_newton_iteration_count_and_residual(self):
+        # bisection to relative accuracy would take ~50 steps, ~1000 near 1e-300
+        for k in K_GRID:
+            top = 1.0 - 1.0 / k
+            for p in np.geomspace(1e-300, top * (1.0 - 1e-6), 120):
+                h = phi(k, float(p))
+                _, iterations, residual = _phi_inverse(k, h)
+                assert iterations <= 10
+                assert abs(residual) <= 1e-14 * h
+
+
+def _mp_lower_fm(k, h):
+    """50-digit root of phi(k, p) = h, bracketed away from both endpoints."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(h)
+        log_km1 = mpmath.log(k - 1)
+
+        def excess(p):
+            return p * log_km1 - p * mpmath.log(p) - (1 - p) * mpmath.log1p(-p) - h
+
+        top = 1 - mpmath.mpf(1) / k
+        return mpmath.findroot(excess, (mpmath.mpf(10) ** -30, top), solver="anderson")
+
+
+def _mp_upper_fm(h):
+    """50-digit Feder-Merhav upper bound on the branch e = ceil(exp h) - 1."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(h)
+        e = int(mpmath.ceil(mpmath.exp(h))) - 1
+        slope_term = (h - mpmath.log(e)) / mpmath.log1p(mpmath.mpf(1) / e)
+        return (e - 1) / mpmath.mpf(e) + slope_term / (e * (e + 1))
+
+
+class TestMpmathReferee:
+    def test_entropy_bounds_on_oracle_grids(self):
+        # the float H of each profile is the input; both sides invert that
+        # same value, so only the bounds' own error is measured
+        entropies = set()
+        for k, N in ((2, 50), (3, 30), (4, 15)):
+            for comp in _compositions(N, k):
+                h = entropy_of_profile(validate_profile([c / N for c in comp])).h
+                if 0.0 < h <= math.log(k) - H_SLACK:
+                    entropies.add((k, h))
+        assert len(entropies) >= 166  # at least one per profile up to permutation
+        for k, h in sorted(entropies):
+            assert lower_fm(k, h) == pytest.approx(float(_mp_lower_fm(k, h)), rel=1e-12, abs=0)
+            assert upper_fm(h) == pytest.approx(float(_mp_upper_fm(h)), rel=0, abs=1e-13)
 
 
 class TestUpperFM:

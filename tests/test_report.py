@@ -16,6 +16,7 @@ from misbounds import (
     compare_hi_scan,
     compare_lo_rows,
     d_lower_margin,
+    exponential_profile,
     fig1_rows,
     fig2_rows,
     fig3_rows,
@@ -62,6 +63,16 @@ class TestBoundsReport:
             assert getattr(from_prof, field) == pytest.approx(
                 getattr(from_model, field), abs=1e-12
             )
+
+    def test_entropy_lower_bound_holds_in_the_far_tail(self):
+        # p* ~ 1e-15 lies far below any absolute tolerance on the inverse
+        rep = BoundsReport.from_model(validate_joint([[0.5 - 1e-15, 0.5], [1e-15, 0.0]]))
+        assert 0.0 < rep.L_FM <= rep.p_star
+        # the two-class exponential profile has Bayes error exactly q; the
+        # report's own p_star = 1 - max(a) rounds to 0 at q = 1e-200
+        for q in (1e-13, 1e-200):
+            rep = BoundsReport.from_profile(exponential_profile(2, q))
+            assert 0.0 < rep.L_FM <= q
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(InvariantViolationError):
