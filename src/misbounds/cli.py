@@ -26,6 +26,7 @@ from .report import (
     run_verify,
     FIG2_DEFAULT_P,
     FIG3_DEFAULT_K,
+    VERIFY_SUITES,
 )
 
 EXIT_OK = 0
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite",
         nargs="+",
         default=None,
-        choices=("sandwich", "oracle", "extremal", "brute_force", "counterexample"),
+        choices=tuple(VERIFY_SUITES),
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sandwich-count", type=int, default=10000)
@@ -94,7 +95,11 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
-def _cmd_report(args) -> str:
+def _rows(rows: list, args) -> tuple:
+    return (rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)), EXIT_OK
+
+
+def _cmd_report(args) -> tuple:
     if (args.model is None) == (args.family is None):
         raise MisboundsError("provide exactly one of a model file or --family")
     if args.model is not None:
@@ -106,8 +111,16 @@ def _cmd_report(args) -> str:
         else:
             rep = BoundsReport.from_profile(built)
     if args.format == "json":
-        return json.dumps(rep.as_dict(), indent=2) + "\n"
-    return rows_to_csv([rep.as_dict()])
+        return json.dumps(rep.as_dict(), indent=2) + "\n", EXIT_OK
+    return rows_to_csv([rep.as_dict()]), EXIT_OK
+
+
+def _cmd_compare_hi(args) -> tuple:
+    scan = compare_hi_scan(args.nu, args.k)
+    if args.format == "json":
+        return json.dumps(scan.as_dict(), indent=2) + "\n", EXIT_OK
+    comment = f"crossover_k = {scan.crossover_k if scan.crossover_k is not None else 'none'}"
+    return rows_to_csv(list(scan.rows), header_comments=(comment,)), EXIT_OK
 
 
 def _cmd_verify(args) -> tuple:
@@ -130,35 +143,22 @@ def _cmd_verify(args) -> tuple:
     return text, EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
+# subcommand -> handler returning (output text, exit code)
+COMMANDS = {
+    "report": _cmd_report,
+    "fig1": lambda args: _rows(fig1_rows(args.k, delta_step=args.delta_step), args),
+    "fig2": lambda args: _rows(fig2_rows(p_list=args.p), args),
+    "fig3": lambda args: _rows(fig3_rows(k_list=args.k, q_step=args.q_step), args),
+    "compare-lo": lambda args: _rows(compare_lo_rows(k_max=args.k), args),
+    "compare-hi": _cmd_compare_hi,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    code = EXIT_OK
     try:
-        if args.command == "report":
-            text = _cmd_report(args)
-        elif args.command == "fig1":
-            rows = fig1_rows(args.k, delta_step=args.delta_step)
-            text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-        elif args.command == "fig2":
-            rows = fig2_rows(p_list=args.p)
-            text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-        elif args.command == "fig3":
-            rows = fig3_rows(k_list=args.k, q_step=args.q_step)
-            text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-        elif args.command == "compare-lo":
-            rows = compare_lo_rows(k_max=args.k)
-            text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-        elif args.command == "compare-hi":
-            scan = compare_hi_scan(args.nu, args.k)
-            if args.format == "csv":
-                comment = f"crossover_k = {scan.crossover_k if scan.crossover_k is not None else 'none'}"
-                text = rows_to_csv(list(scan.rows), header_comments=(comment,))
-            else:
-                text = json.dumps(scan.as_dict(), indent=2) + "\n"
-        elif args.command == "verify":
-            text, code = _cmd_verify(args)
-        else:
-            raise MisboundsError(f"unknown command {args.command!r}")
+        text, code = COMMANDS[args.command](args)
     except InvariantViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -22,10 +22,9 @@ from .errors import (
     EntropyOutOfRangeError,
     NegativeEntropyError,
     OutOfRangeError,
-    TooFewClassesError,
 )
-from .model import JointModel, PosteriorProfile, validate_joint
-from .tv_bounds import INTEGER_SNAP, _snapped_ceil
+from .model import JointModel, PosteriorProfile, require_classes, validate_joint
+from .tv_bounds import INTEGER_SNAP, snapped_ceil
 
 # Domain-edge slack for entropy arguments; beyond it the input is an error,
 # within it the value is clamped onto the closed domain.
@@ -45,12 +44,16 @@ class EntropyValue:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise TooFewClassesError(f"need at least 2 classes, got k={self.k}")
-        top = math.log(self.k)
-        if self.h < -H_SLACK or self.h > top + H_SLACK:
-            raise EntropyOutOfRangeError(f"h={self.h!r} outside [0, ln {self.k}]")
-        object.__setattr__(self, "h", min(max(self.h, 0.0), top))
+        object.__setattr__(self, "h", _into_domain(self.k, self.h))
+
+
+def _into_domain(k: int, h: float) -> float:
+    """Check k, then clamp h into [0, ln k], allowing H_SLACK of float overshoot."""
+    require_classes(k)
+    top = math.log(k)
+    if h < -H_SLACK or h > top + H_SLACK:
+        raise EntropyOutOfRangeError(f"h={h!r} outside [0, ln {k}]")
+    return min(max(h, 0.0), top)
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,17 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def conditional_entropy(model: JointModel) -> EntropyValue:
-    """H(Y|X) in nats: marginal-weighted entropy of the column posteriors."""
+def _column_posteriors(model: JointModel) -> tuple:
+    """Marginal mass of each observation that has some, and its posterior column."""
     mu = model.w.sum(axis=0)
     live = mu > 0
-    ratio = model.w[:, live] / mu[live]
-    h = -float((mu[live] * _plogp(ratio).sum(axis=0)).sum())
+    return mu[live], model.w[:, live] / mu[live]
+
+
+def conditional_entropy(model: JointModel) -> EntropyValue:
+    """H(Y|X) in nats: marginal-weighted entropy of the column posteriors."""
+    mu, ratio = _column_posteriors(model)
+    h = -float((mu * _plogp(ratio).sum(axis=0)).sum())
     return EntropyValue(h=h, k=model.k)
 
 
@@ -91,8 +99,7 @@ def _h2(p: float) -> float:
 
 def phi(k: int, p: float) -> float:
     """p ln(k-1) + h2(p): strictly increasing from 0 to ln k on [0, 1-1/k]."""
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
+    require_classes(k)
     top = 1.0 - 1.0 / k
     if p < -H_SLACK or p > top + H_SLACK:
         raise OutOfRangeError(f"p={p!r} outside [0, {top}]")
@@ -156,18 +163,13 @@ def lower_fm(k: int, h: float) -> float:
     relative to p wherever phi is well conditioned, down to p ~ 1e-300;
     nearer the top it is as exact as phi's rounding allows.
     """
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
-    top = math.log(k)
-    if h < -H_SLACK or h > top + H_SLACK:
-        raise EntropyOutOfRangeError(f"h={h!r} outside [0, ln {k}]")
-    h = min(max(h, 0.0), top)
+    h = _into_domain(k, h)
     if h == 0.0:
         return 0.0
     # phi is quadratically flat at its right endpoint, so inverting there
     # amplifies noise in h to sqrt scale; h this close to ln k means the
     # endpoint itself is the best-conditioned answer.
-    if top - h <= H_SLACK:
+    if math.log(k) - h <= H_SLACK:
         return 1.0 - 1.0 / k
     return _phi_inverse(k, h)[0]
 
@@ -187,7 +189,7 @@ def upper_fm(h: float) -> float:
     if h < -INTEGER_SNAP:
         raise NegativeEntropyError(f"h={h!r} must be >= 0")
     h = max(h, 0.0)
-    e = max(_snapped_ceil(math.exp(h)) - 1, 1)
+    e = max(snapped_ceil(math.exp(h)) - 1, 1)
     slope_term = (h - math.log(e)) / math.log1p(1.0 / e)
     return (e - 1.0) / e + slope_term / (e * (e + 1.0))
 
@@ -201,15 +203,13 @@ def renyi_conditional_entropy(model: JointModel, beta: float) -> RenyiValue:
     """
     if not beta > 0.0:
         raise BadBetaError(f"beta={beta!r} must be positive")
-    mu = model.w.sum(axis=0)
-    live = mu > 0
-    ratio = model.w[:, live] / mu[live]
+    mu, ratio = _column_posteriors(model)
     if beta == 1.0:
         per_col = -(_plogp(ratio) / math.log(2.0)).sum(axis=0)
     else:
         power_sum = (ratio**beta).sum(axis=0)
         per_col = np.log2(power_sum) / (1.0 - beta)
-    return RenyiValue(h_beta=float((mu[live] * per_col).sum()), beta=beta)
+    return RenyiValue(h_beta=float((mu * per_col).sum()), beta=beta)
 
 
 # --- two-class counterexample fixture ---------------------------------------

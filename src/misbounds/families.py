@@ -115,9 +115,8 @@ def three_class_profile(p: float, eps: float) -> PosteriorProfile:
     return PosteriorProfile(a=np.array([1.0 - p, p - eps, eps]))
 
 
-# Support sizes for which the entropy-vs-separation advantage below is
-# actually guaranteed; anything else is well-defined but unproven.
-def _comp_lo_guaranteed(k: int) -> set:
+def comp_lo_guaranteed(k: int) -> set:
+    """Support sizes ell for which comp_lo's lower-bound advantage is proven."""
     ells = {k - 3, k - 2, k - 1}
     if 6 <= k <= 9:
         ells.add(k - 4)
@@ -130,7 +129,7 @@ def comp_lo_profile(k: int, ell: int) -> PosteriorProfile:
         raise BadParamError(f"k={k!r} must be an integer >= 3")
     if not (isinstance(ell, (int, np.integer)) and 2 <= ell <= k):
         raise BadParamError(f"ell={ell!r} must be an integer in 2..{k}")
-    if ell not in _comp_lo_guaranteed(k):
+    if ell not in comp_lo_guaranteed(k):
         warnings.warn(
             f"ell={ell} is outside the guaranteed set for k={k}; "
             "the profile is valid but the lower-bound advantage is unproven",

@@ -63,11 +63,10 @@ class PosteriorProfile:
         return self.a.shape[0]
 
 
-def _normalize_mass(arr: np.ndarray, total: float) -> np.ndarray:
-    """Renormalize to unit mass unless already inside the no-touch zone."""
-    if abs(total - 1.0) <= NO_TOUCH:
-        return arr
-    return arr / total
+def require_classes(k: int) -> None:
+    """Refuse a class count below two, the smallest with a decision to make."""
+    if k < 2:
+        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
 
 
 def validate_joint(raw) -> JointModel:
@@ -81,8 +80,7 @@ def validate_joint(raw) -> JointModel:
     w = np.asarray(raw, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ParseError(f"expected a nonempty 2-D matrix, got shape {w.shape}")
-    if w.shape[0] < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={w.shape[0]}")
+    require_classes(w.shape[0])
     if np.any(w < 0) or np.any(np.isnan(w)):
         y, x = np.argwhere((w < 0) | np.isnan(w))[0]
         raise NegativeEntryError(
@@ -91,21 +89,15 @@ def validate_joint(raw) -> JointModel:
     total = float(w.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise MassNotOneError(f"total mass is {total!r}, must be 1 within {MASS_TOL}")
-    return JointModel(w=np.array(_normalize_mass(w, total)))
+    return JointModel(w=w / total if abs(total - 1.0) > NO_TOUCH else w.copy())
 
 
 def validate_profile(raw) -> PosteriorProfile:
-    """Validate a length-k nonnegative vector summing to 1 within tolerance."""
+    """Validate a length-k vector as the k x 1 joint model it is."""
     a = np.asarray(raw, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ParseError(f"expected a nonempty 1-D vector, got shape {a.shape}")
-    if np.any(a < 0) or np.any(np.isnan(a)):
-        i = int(np.flatnonzero((a < 0) | np.isnan(a))[0])
-        raise NegativeEntryError(f"entry {i + 1} is {a[i]!r}; entries must be >= 0")
-    total = float(a.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise MassNotOneError(f"entries sum to {total!r}, must be 1 within {MASS_TOL}")
-    return PosteriorProfile(a=np.array(_normalize_mass(a, total)))
+    return PosteriorProfile(a=validate_joint(a[:, None]).w[:, 0])
 
 
 def marginal(model: JointModel) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here composes the other modules and is responsible for one extra
 duty: no row leaves this layer unless the sandwich chains hold on it, so a
-CSV produced by the CLI is itself a certificate.
+CSV produced by the CLI is itself a certificate.  The chains are defined
+once, as ``BoundsReport.slacks``, which both the report's own check and the
+sandwich verify suite iterate.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .errors import BadParamError, InvariantViolationError
 from .families import (
     binomial_profile,
     comp_hi_stats,
+    comp_lo_guaranteed,
     exponential_profile,
     three_class_profile,
-    _comp_lo_guaranteed,
 )
 from .model import JointModel, PosteriorProfile, validate_joint
 from .tv_bounds import (
@@ -55,7 +57,11 @@ def log10_or_none(value: float):
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All bound values for one model or profile, checked on construction."""
+    """All bound values for one model or profile, checked on construction.
+
+    ``slacks`` lists the five links of the two sandwich chains; a report
+    with any link broken by more than CHAIN_SLACK is refused.
+    """
 
     k: int
     delta: float
@@ -68,48 +74,49 @@ class BoundsReport:
     U_FM: float
 
     def __post_init__(self):
-        chain = (
-            ("L <= p_star", self.p_star - self.L),
-            ("p_star <= U", self.U - self.p_star),
-            ("U <= U_simpl", self.U_simpl - self.U),
-            ("L_FM <= p_star", self.p_star - self.L_FM),
-            ("p_star <= U_FM", self.U_FM - self.p_star),
-        )
-        for name, slack in chain:
+        for name, slack in self.slacks:
             if slack < -CHAIN_SLACK:
                 raise InvariantViolationError(f"{name} violated by {-slack:.3e}")
 
+    @property
+    def slacks(self) -> tuple:
+        """(link, slack) for each chain link; a negative slack means the link is broken."""
+        return (
+            ("L<=p*", self.p_star - self.L),
+            ("p*<=U", self.U - self.p_star),
+            ("U<=U_simpl", self.U_simpl - self.U),
+            ("L_FM<=p*", self.p_star - self.L_FM),
+            ("p*<=U_FM", self.U_FM - self.p_star),
+        )
+
+    @classmethod
+    def _evaluate(cls, k: int, d: float, h: float, p_star: float) -> "BoundsReport":
+        """Both bound families at separation d and conditional entropy h."""
+        return cls(
+            k=k,
+            delta=d,
+            entropy_nats=h,
+            p_star=p_star,
+            L=lower_bound(k, d),
+            U=upper_bound(k, d),
+            U_simpl=upper_bound_simpl(k, d),
+            L_FM=lower_fm(k, h),
+            U_FM=upper_fm(h),
+        )
+
     @classmethod
     def from_model(cls, model: JointModel) -> "BoundsReport":
-        dv = delta(model)
-        h = conditional_entropy(model)
-        return cls(
-            k=model.k,
-            delta=dv.delta,
-            entropy_nats=h.h,
-            p_star=bayes_error(model),
-            L=lower_bound(model.k, dv.delta),
-            U=upper_bound(model.k, dv.delta),
-            U_simpl=upper_bound_simpl(model.k, dv.delta),
-            L_FM=lower_fm(model.k, h.h),
-            U_FM=upper_fm(h.h),
+        return cls._evaluate(
+            model.k, delta(model).delta, conditional_entropy(model).h, bayes_error(model)
         )
 
     @classmethod
     def from_profile(cls, profile: PosteriorProfile) -> "BoundsReport":
-        k = profile.k
-        dv = delta_of_profile(profile)
-        h = entropy_of_profile(profile)
-        return cls(
-            k=k,
-            delta=dv.delta,
-            entropy_nats=h.h,
-            p_star=1.0 - float(profile.a.max()),
-            L=lower_bound(k, dv.delta),
-            U=upper_bound(k, dv.delta),
-            U_simpl=upper_bound_simpl(k, dv.delta),
-            L_FM=lower_fm(k, h.h),
-            U_FM=upper_fm(h.h),
+        return cls._evaluate(
+            profile.k,
+            delta_of_profile(profile).delta,
+            entropy_of_profile(profile).h,
+            1.0 - float(profile.a.max()),
         )
 
     def as_dict(self) -> dict:
@@ -237,7 +244,7 @@ def compare_lo_rows(k_max: int = 50, k_min: int = 3) -> list:
         raise BadParamError(f"need 3 <= k_min <= k_max, got {k_min}..{k_max}")
     rows = []
     for k in range(k_min, k_max + 1):
-        for ell in sorted(_comp_lo_guaranteed(k)):
+        for ell in sorted(comp_lo_guaranteed(k)):
             d = d_lower_margin(k, ell)
             if not d > 0.0:
                 raise InvariantViolationError(f"d_{k}({ell}) = {d!r} is not positive")
@@ -320,8 +327,14 @@ def random_model(rng: np.random.Generator, k: int, n: int) -> JointModel:
     return validate_joint(w / w.sum())
 
 
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise BadParamError(f"count={count!r} must be >= 1")
+
+
 def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
     """Both bound chains on random models; reports the worst slack seen."""
+    _require_count(count)
     rng = np.random.default_rng(seed)
     worst = math.inf
     worst_site = None
@@ -329,13 +342,7 @@ def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
         k = int(rng.integers(2, 9))
         n = int(rng.integers(1, 7))
         rep = BoundsReport.from_model(random_model(rng, k, n))
-        for name, slack in (
-            ("L<=p*", rep.p_star - rep.L),
-            ("p*<=U", rep.U - rep.p_star),
-            ("U<=U_simpl", rep.U_simpl - rep.U),
-            ("L_FM<=p*", rep.p_star - rep.L_FM),
-            ("p*<=U_FM", rep.U_FM - rep.p_star),
-        ):
+        for name, slack in rep.slacks:
             if slack < worst:
                 worst = slack
                 worst_site = name
@@ -385,6 +392,7 @@ def verify_extremal(k_values=range(2, 9), step: float = 0.01) -> dict:
 
 def verify_brute_force(count: int = 300, seed: int = 0) -> dict:
     """Closed-form Bayes error against exhaustive classifier enumeration."""
+    _require_count(count)
     rng = np.random.default_rng(seed)
     pairs = [(k, n) for k in range(2, 9) for n in range(1, 7) if k**n <= 10**5]
     worst = 0.0
@@ -415,18 +423,15 @@ VERIFY_SUITES = {
 
 def run_verify(suites=None, seed: int = 0, sandwich_count: int = 10000, brute_count: int = 300) -> list:
     """Run the named suites (all by default) and return their result dicts."""
+    settings = {
+        "sandwich": {"count": sandwich_count, "seed": seed},
+        "brute_force": {"count": brute_count, "seed": seed},
+    }
     names = list(VERIFY_SUITES) if suites is None else list(suites)
-    results = []
     for name in names:
         if name not in VERIFY_SUITES:
             raise BadParamError(f"unknown verify suite {name!r}")
-        if name == "sandwich":
-            results.append(verify_sandwich(count=sandwich_count, seed=seed))
-        elif name == "brute_force":
-            results.append(verify_brute_force(count=brute_count, seed=seed))
-        else:
-            results.append(VERIFY_SUITES[name]())
-    return results
+    return [VERIFY_SUITES[name](**settings.get(name, {})) for name in names]
 
 
 # --- serialization ----------------------------------------------------------

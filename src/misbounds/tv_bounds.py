@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRangeError, TooFewClassesError, TooLargeError
-from .model import JointModel, PosteriorProfile
+from .errors import OutOfRangeError, TooLargeError
+from .model import JointModel, PosteriorProfile, require_classes
 
 # Ceil is discontinuous, so a value that lands on an integer up to
 # representation error (a separation of 2.0000000000000004, or exp(H) at an
@@ -39,21 +39,20 @@ class DeltaValue:
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise TooFewClassesError(f"need at least 2 classes, got k={self.k}")
-        d = _into_domain(self.k, self.delta)
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", _into_domain(self.k, self.delta))
 
 
 def _into_domain(k: int, delta: float) -> float:
-    """Clamp delta into [0, k-1], allowing INTEGER_SNAP of float overshoot."""
+    """Check k, then clamp delta into [0, k-1], allowing INTEGER_SNAP of float overshoot."""
+    require_classes(k)
     hi = float(k - 1)
     if delta < -INTEGER_SNAP or delta > hi + INTEGER_SNAP:
         raise OutOfRangeError(f"delta={delta!r} outside [0, {k - 1}]")
     return min(max(delta, 0.0), hi)
 
 
-def _snapped_ceil(x: float) -> int:
+def snapped_ceil(x: float) -> int:
+    """ceil(x), except that x within INTEGER_SNAP of an integer snaps to it."""
     nearest = round(x)
     if abs(x - nearest) <= INTEGER_SNAP:
         return int(nearest)
@@ -84,33 +83,25 @@ def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
 
 def lower_bound(k: int, delta: float) -> float:
     """L(delta) = 1 - (1 + delta)/k, affine from 1 - 1/k down to 0."""
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
     d = _into_domain(k, delta)
     return 1.0 - (1.0 + d) / k
 
 
 def upper_bound(k: int, delta: float) -> float:
     """Tight upper bound: linear interpolation of 1 - 1/(k - m) between integers m."""
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
     d = _into_domain(k, delta)
-    m = _snapped_ceil(d)
+    m = snapped_ceil(d)
     return 1.0 - (k + 1 + d - 2 * m) / ((k - m) * (k + 1 - m))
 
 
 def upper_bound_simpl(k: int, delta: float) -> float:
     """Smooth relaxation 1 - 1/(k - delta); ties upper_bound exactly at integers."""
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
     d = _into_domain(k, delta)
     return 1.0 - 1.0 / (k - d)
 
 
 def extremal_low_profile(k: int, d: float) -> PosteriorProfile:
     """Profile attaining the lower bound: one lifted entry over a flat tail."""
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
     d = _into_domain(k, d)
     a = np.full(k, 1.0 / k - d / (k * (k - 1.0)))
     a[0] = (1.0 + d) / k
@@ -119,10 +110,8 @@ def extremal_low_profile(k: int, d: float) -> PosteriorProfile:
 
 def extremal_high_profile(k: int, d: float) -> PosteriorProfile:
     """Profile attaining the upper bound: a flat top block, one remainder, zeros."""
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
     d = _into_domain(k, d)
-    m = _snapped_ceil(d)
+    m = snapped_ceil(d)
     top = (k + 1 + d - 2 * m) / ((k - m) * (k + 1 - m))
     a = np.zeros(k)
     a[: k - m] = top
@@ -215,8 +204,7 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     either end must occur precisely when the profile is a permutation of the
     matching extremal profile.
     """
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
+    require_classes(k)
     if N < 1:
         raise OutOfRangeError(f"grid resolution N={N} must be >= 1")
     count = math.comb(N + k - 1, k - 1)

@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 
 from misbounds import (
+    DeltaValue,
+    EntropyValue,
     JointModel,
     MassNotOneError,
     NegativeEntryError,
     ParseError,
     TooFewClassesError,
     ZeroMarginalError,
+    extremal_high_profile,
+    extremal_low_profile,
     load_model,
+    lower_bound,
+    lower_fm,
     marginal,
+    phi,
     posterior,
     save_model,
+    simplex_grid_oracle,
+    upper_bound,
+    upper_bound_simpl,
     validate_joint,
     validate_profile,
 )
@@ -76,6 +86,33 @@ class TestValidateProfile:
     def test_rejects_bad_mass(self):
         with pytest.raises(MassNotOneError):
             validate_profile([0.5, 0.4])
+
+    def test_single_class_rejected(self):
+        with pytest.raises(TooFewClassesError):
+            validate_profile([1.0])
+
+
+# Every public entry that takes a class count, called at an otherwise legal point.
+K_ENTRIES = {
+    "DeltaValue": lambda k: DeltaValue(delta=0.0, k=k),
+    "lower_bound": lambda k: lower_bound(k, 0.0),
+    "upper_bound": lambda k: upper_bound(k, 0.0),
+    "upper_bound_simpl": lambda k: upper_bound_simpl(k, 0.0),
+    "extremal_low_profile": lambda k: extremal_low_profile(k, 0.0),
+    "extremal_high_profile": lambda k: extremal_high_profile(k, 0.0),
+    "simplex_grid_oracle": lambda k: simplex_grid_oracle(k, 1),
+    "EntropyValue": lambda k: EntropyValue(h=0.0, k=k),
+    "phi": lambda k: phi(k, 0.0),
+    "lower_fm": lambda k: lower_fm(k, 0.0),
+}
+
+
+@pytest.mark.parametrize("k", [1, 0])
+@pytest.mark.parametrize("entry", sorted(K_ENTRIES))
+def test_every_k_entry_refuses_too_few_classes(entry, k):
+    with pytest.raises(TooFewClassesError, match=f"need at least 2 classes, got k={k}"):
+        K_ENTRIES[entry](k)
+    K_ENTRIES[entry](2)  # the same call is legal with two classes
 
 
 class TestMarginalPosterior:

@@ -1,14 +1,18 @@
 """Bound reports, figure sweeps, comparison scans, and the CLI surface."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import misbounds
 from misbounds import (
     BadParamError,
     BoundsReport,
@@ -25,9 +29,23 @@ from misbounds import (
     validate_profile,
 )
 from misbounds.cli import main
-from misbounds.report import rows_to_csv, rows_to_json
+from misbounds.report import (
+    random_model,
+    rows_to_csv,
+    rows_to_json,
+    verify_brute_force,
+    verify_sandwich,
+)
 
 EXAMPLE = validate_joint([[0.4, 0.1], [0.1, 0.4]])
+
+# a child interpreter imports the same misbounds as this one, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(misbounds.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    ),
+}
 
 
 class TestBoundsReport:
@@ -87,6 +105,21 @@ class TestBoundsReport:
                 L_FM=0.2,
                 U_FM=0.36,
             )
+
+    @pytest.mark.parametrize(
+        "link, field, value",
+        [
+            ("L<=p*", "L", 0.7),
+            ("p*<=U", "U", 0.1),
+            ("U<=U_simpl", "U_simpl", 0.15),
+            ("L_FM<=p*", "L_FM", 0.7),
+            ("p*<=U_FM", "U_FM", 0.1),
+        ],
+    )
+    def test_broken_link_is_named(self, link, field, value):
+        rep = BoundsReport.from_model(EXAMPLE)
+        with pytest.raises(InvariantViolationError, match=re.escape(f"{link} violated")):
+            dataclasses.replace(rep, **{field: value})
 
     def test_dict_includes_log_columns(self):
         doc = BoundsReport.from_model(EXAMPLE).as_dict()
@@ -271,6 +304,24 @@ class TestVerifySuites:
         with pytest.raises(BadParamError):
             run_verify(suites=("nonsense",))
 
+    def test_sandwich_worst_is_the_least_report_slack(self):
+        # rebuild the suite's models from the same seed and draw order
+        rng = np.random.default_rng(42)
+        slacks = []
+        for _ in range(200):
+            k = int(rng.integers(2, 9))
+            n = int(rng.integers(1, 7))
+            slacks += BoundsReport.from_model(random_model(rng, k, n)).slacks
+        site, slack = min(slacks, key=lambda pair: pair[1])
+        result = verify_sandwich(count=200, seed=42)
+        assert (result["worst_slack"], result["worst_site"]) == (slack, site)
+
+    @pytest.mark.parametrize("suite", [verify_sandwich, verify_brute_force])
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_rejected(self, suite, count):
+        with pytest.raises(BadParamError):
+            suite(count=count)
+
 
 class TestSerialization:
     def test_csv_shape_and_empty_cells(self):
@@ -319,6 +370,7 @@ class TestCli:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "misbounds.cli", "report", "--family", spec],
                 stdout=out,
+                env=CHILD_ENV,
             )
             # wait4 gives the peak RSS of this child alone
             _, status, usage = os.wait4(proc.pid, 0)
@@ -391,10 +443,16 @@ class TestCli:
         results = json.loads(capsys.readouterr().out)
         assert results[0]["ok"] is True
 
+    def test_verify_count_below_one_exits_one(self, capsys):
+        argv = ["verify", "--suite", "sandwich", "brute_force", "--sandwich-count", "0"]
+        assert main(argv + ["--brute-count", "-5", "--format", "json"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_console_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "misbounds.cli", "fig1", "--k", "3"],
             capture_output=True,
+            env=CHILD_ENV,
             text=True,
         )
         assert proc.returncode == 0
