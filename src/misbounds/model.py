@@ -62,6 +62,10 @@ class PosteriorProfile:
     def k(self) -> int:
         return self.a.shape[0]
 
+    def as_model(self) -> JointModel:
+        """The profile as the k x 1 joint model it is."""
+        return JointModel(w=self.a[:, None])
+
 
 def require_classes(k: int) -> None:
     """Refuse a class count below two, the smallest with a decision to make."""

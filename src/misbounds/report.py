@@ -116,7 +116,7 @@ class BoundsReport:
             profile.k,
             delta_of_profile(profile).delta,
             entropy_of_profile(profile).h,
-            1.0 - float(profile.a.max()),
+            bayes_error(profile.as_model()),
         )
 
     def as_dict(self) -> dict:
@@ -383,8 +383,8 @@ def verify_extremal(k_values=range(2, 9), step: float = 0.01) -> dict:
                 worst,
                 abs(delta_of_profile(low).delta - d),
                 abs(delta_of_profile(high).delta - d),
-                abs((1.0 - float(low.a.max())) - lower_bound(k, d)),
-                abs((1.0 - float(high.a.max())) - upper_bound(k, d)),
+                abs(bayes_error(low.as_model()) - lower_bound(k, d)),
+                abs(bayes_error(high.as_model()) - upper_bound(k, d)),
             )
             checked += 2
     return {"suite": "extremal", "checked": checked, "worst_error": worst, "ok": worst <= 1e-12}

@@ -86,11 +86,18 @@ class TestBoundsReport:
         # p* ~ 1e-15 lies far below any absolute tolerance on the inverse
         rep = BoundsReport.from_model(validate_joint([[0.5 - 1e-15, 0.5], [1e-15, 0.0]]))
         assert 0.0 < rep.L_FM <= rep.p_star
-        # the two-class exponential profile has Bayes error exactly q; the
-        # report's own p_star = 1 - max(a) rounds to 0 at q = 1e-200
+        # the two-class exponential profile has Bayes error exactly q
         for q in (1e-13, 1e-200):
             rep = BoundsReport.from_profile(exponential_profile(2, q))
             assert 0.0 < rep.L_FM <= q
+
+    def test_p_star_exact_in_the_far_tail(self):
+        # 1 - max(a) or 1 - sum of column maxima cancels a tiny p* away
+        for q in (1e-13, 1e-200):
+            rep = BoundsReport.from_profile(exponential_profile(2, q))
+            assert rep.p_star == pytest.approx(q, rel=1e-15, abs=0.0)
+        rep = BoundsReport.from_model(validate_joint([[0.5 - 1e-15, 0.5], [1e-15, 0.0]]))
+        assert rep.p_star == 1e-15
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(InvariantViolationError):
