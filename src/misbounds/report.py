@@ -120,19 +120,10 @@ class BoundsReport:
         )
 
     def as_dict(self) -> dict:
-        out = {
-            "k": self.k,
-            "delta": self.delta,
-            "entropy_nats": self.entropy_nats,
-            "p_star": self.p_star,
-            "L": self.L,
-            "U": self.U,
-            "U_simpl": self.U_simpl,
-            "L_FM": self.L_FM,
-            "U_FM": self.U_FM,
-        }
+        """The fields in declaration order, then log10 of p* and of each bound."""
+        out = dict(vars(self))
         for name in ("p_star", "L", "U", "U_simpl", "L_FM", "U_FM"):
-            out[f"log10_{name}"] = log10_or_none(getattr(self, name))
+            out[f"log10_{name}"] = log10_or_none(out[name])
         return out
 
 
