@@ -41,8 +41,7 @@ def classifier_error(model: JointModel, clf: Classifier) -> float:
         )
     if np.any((labels < 1) | (labels > model.k)):
         raise OutOfRangeError(f"labels must lie in 1..{model.k}")
-    hit = model.w[labels - 1, np.arange(model.n)]
-    return float(1.0 - hit.sum())
+    return _mass_off(model, labels - 1)
 
 
 def bayes_classifier(model: JointModel) -> Classifier:
@@ -50,15 +49,16 @@ def bayes_classifier(model: JointModel) -> Classifier:
     return Classifier(labels=np.argmax(model.w, axis=0).astype(np.int64) + 1)
 
 
-def bayes_error(model: JointModel) -> float:
-    """Minimum misclassification probability: the mass off the column maxima.
-
-    It sums every entry but one maximum per column, which keeps a tiny error
-    accurate relative to itself; 1 - sum of the maxima would cancel it away.
-    """
+def _mass_off(model: JointModel, rows: np.ndarray) -> float:
+    """Mass off w[rows[x], x] in every column x, summed so that a tiny error does not cancel."""
     rest = model.w.copy()
-    rest[model.w.argmax(axis=0), np.arange(model.n)] = 0.0
+    rest[rows, np.arange(model.n)] = 0.0
     return float(rest.sum())
+
+
+def bayes_error(model: JointModel) -> float:
+    """Minimum misclassification probability: the mass off the column maxima."""
+    return _mass_off(model, model.w.argmax(axis=0))
 
 
 def brute_force_bayes_error(model: JointModel, chunk: int = 4096) -> float:

@@ -23,12 +23,15 @@ from .errors import (
     NegativeEntropyError,
     OutOfRangeError,
 )
-from .model import JointModel, PosteriorProfile, require_classes, validate_joint
+from .model import JointModel, PosteriorProfile, clamp, require_classes, validate_joint
 from .tv_bounds import INTEGER_SNAP, snapped_ceil
 
 # Domain-edge slack for entropy arguments; beyond it the input is an error,
 # within it the value is clamped onto the closed domain.
 H_SLACK = 1e-12
+
+# The largest h that math.exp can take, ln(DBL_MAX) ~ 709.78.
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # Newton inverse of phi: a step within four ulps of p ends it, and the cap is
 # only a safety net, since it converges in a handful of steps.
@@ -50,10 +53,7 @@ class EntropyValue:
 def _into_domain(k: int, h: float) -> float:
     """Check k, then clamp h into [0, ln k], allowing H_SLACK of float overshoot."""
     require_classes(k)
-    top = math.log(k)
-    if h < -H_SLACK or h > top + H_SLACK:
-        raise EntropyOutOfRangeError(f"h={h!r} outside [0, ln {k}]")
-    return min(max(h, 0.0), top)
+    return clamp(h, 0.0, math.log(k), H_SLACK, EntropyOutOfRangeError, "h")
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,7 @@ def _h2(p: float) -> float:
 def phi(k: int, p: float) -> float:
     """p ln(k-1) + h2(p): strictly increasing from 0 to ln k on [0, 1-1/k]."""
     require_classes(k)
-    top = 1.0 - 1.0 / k
-    if p < -H_SLACK or p > top + H_SLACK:
-        raise OutOfRangeError(f"p={p!r} outside [0, {top}]")
-    p = min(max(p, 0.0), top)
+    p = clamp(p, 0.0, 1.0 - 1.0 / k, H_SLACK, OutOfRangeError, "p")
     return p * math.log(k - 1) + _h2(p)
 
 
@@ -184,11 +181,10 @@ def upper_fm(h: float) -> float:
     h / (2 ln 2), is the bound on all of [0, ln 2] and is 0 at H = 0.
 
     Accepts h down to -INTEGER_SNAP so that probing continuity around the
-    first knot (ln 1 = 0) stays legal.
+    first knot (ln 1 = 0) stays legal, and up to LOG_FLOAT_MAX, where
+    exp(H) still fits in a double.
     """
-    if h < -INTEGER_SNAP:
-        raise NegativeEntropyError(f"h={h!r} must be >= 0")
-    h = max(h, 0.0)
+    h = clamp(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h")
     e = max(snapped_ceil(math.exp(h)) - 1, 1)
     slope_term = (h - math.log(e)) / math.log1p(1.0 / e)
     return (e - 1.0) / e + slope_term / (e * (e + 1.0))

@@ -68,7 +68,7 @@ class EntropyOutOfRangeError(MisboundsError, ValueError):
 
 
 class NegativeEntropyError(MisboundsError, ValueError):
-    """Entropy argument is negative beyond tolerance."""
+    """Entropy argument is negative beyond tolerance, or too large for exp."""
 
 
 class BadBetaError(MisboundsError, ValueError):

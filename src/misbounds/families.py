@@ -8,6 +8,7 @@ full joint model whose columns all share one profile up to relabeling.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (
     OutOfDomainError,
     TooLargeError,
 )
-from .model import MASS_TOL, JointModel, PosteriorProfile, validate_profile
+from .model import MASS_TOL, JointModel, PosteriorProfile, clamp, validate_profile
 
 PROFILE_SIZE_LIMIT = 10**7
 
@@ -39,7 +40,7 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     w_vec = np.asarray(weights, dtype=float)
     if w_vec.ndim != 1 or w_vec.size == 0:
         raise BadWeightsError(f"weights must be a nonempty vector, got shape {w_vec.shape}")
-    if np.any(w_vec <= 0):
+    if not np.all(w_vec > 0):
         raise BadWeightsError("weights must be strictly positive")
     if abs(float(w_vec.sum()) - 1.0) > MASS_TOL:
         raise BadWeightsError(f"weights sum to {float(w_vec.sum())!r}, must be 1")
@@ -105,13 +106,8 @@ def exponential_profile(k: int, q: float) -> PosteriorProfile:
 def three_class_profile(p: float, eps: float) -> PosteriorProfile:
     """Three-class profile (1-p, p-eps, eps); its pure model has Bayes error p."""
     slack = 1e-12
-    if not -slack <= p <= 2.0 / 3.0 + slack:
-        raise OutOfDomainError(f"p={p!r} outside [0, 2/3]")
-    lo = max(2.0 * p - 1.0, 0.0)
-    hi = p / 2.0
-    if not lo - slack <= eps <= hi + slack:
-        raise OutOfDomainError(f"eps={eps!r} outside [{lo}, {hi}] for p={p}")
-    eps = min(max(eps, lo), hi)
+    p = clamp(p, 0.0, 2.0 / 3.0, slack, OutOfDomainError, "p")
+    eps = clamp(eps, max(2.0 * p - 1.0, 0.0), p / 2.0, slack, OutOfDomainError, "eps")
     return PosteriorProfile(a=np.array([1.0 - p, p - eps, eps]))
 
 
@@ -184,33 +180,37 @@ def qpsk_q(eb_n0: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def from_spec(spec: dict):
-    """Build a profile (or pure-family model) from a JSON-style mapping.
+def _reals(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
-    Expects {"family": name, ...parameters}; unknown families or missing
-    parameters raise BadParam.
-    """
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise BadParamError("family spec must be a mapping with a 'family' key")
-    family = spec["family"]
-    params = {key: value for key, value in spec.items() if key != "family"}
+
+def _integer_rows(value) -> list:
+    return [[operator.index(label) for label in row] for row in value]
+
+
+# family -> (constructor, {parameter: conversion}), parameters in argument order;
+# operator.index refuses 3.9, "3" and [3] instead of coercing them.
+FAMILIES = {
+    "pure": (pure_model, {"a": validate_profile, "weights": _reals, "perms": _integer_rows}),
+    "binomial": (binomial_profile, {"m": operator.index, "q": float}),
+    "exponential": (exponential_profile, {"k": operator.index, "q": float}),
+    "three_class": (three_class_profile, {"p": float, "eps": float}),
+    "comp_lo": (comp_lo_profile, {"k": operator.index, "ell": operator.index}),
+    "comp_hi": (comp_hi_profile, {"k": operator.index, "nu": float}),
+}
+
+
+def from_spec(spec: dict):
+    """Build the profile (or pure model) of {"family": name, ...its FAMILIES parameters}."""
+    family = spec.get("family") if isinstance(spec, dict) else None
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise BadParamError(f"family spec must be a mapping with 'family' in {list(FAMILIES)}")
+    build, conversions = FAMILIES[family]
+    given = [key for key in spec if key != "family"]
+    if conversions.keys() != set(given):
+        raise BadParamError(f"family {family!r} takes {list(conversions)}, got {given}")
     try:
-        if family == "pure":
-            return pure_model(
-                validate_profile(params.pop("a")),
-                params.pop("weights"),
-                params.pop("perms"),
-            )
-        if family == "binomial":
-            return binomial_profile(int(params.pop("m")), float(params.pop("q")))
-        if family == "exponential":
-            return exponential_profile(int(params.pop("k")), float(params.pop("q")))
-        if family == "three_class":
-            return three_class_profile(float(params.pop("p")), float(params.pop("eps")))
-        if family == "comp_lo":
-            return comp_lo_profile(int(params.pop("k")), int(params.pop("ell")))
-        if family == "comp_hi":
-            return comp_hi_profile(int(params.pop("k")), float(params.pop("nu")))
-    except KeyError as exc:
-        raise BadParamError(f"family {family!r} is missing parameter {exc.args[0]!r}") from exc
-    raise BadParamError(f"unknown family {family!r}")
+        args = [convert(spec[key]) for key, convert in conversions.items()]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParamError(f"bad parameter in {spec}: {exc}") from exc
+    return build(*args)

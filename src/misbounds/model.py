@@ -73,6 +73,13 @@ def require_classes(k: int) -> None:
         raise TooFewClassesError(f"need at least 2 classes, got k={k}")
 
 
+def clamp(value: float, lo: float, hi: float, slack: float, error: type, name: str) -> float:
+    """Clamp value onto [lo, hi], or raise `error` if it is NaN or beyond `slack` of it."""
+    if not lo - slack <= value <= hi + slack:
+        raise error(f"{name}={value!r} outside [{lo!r}, {hi!r}]")
+    return min(max(value, lo), hi)
+
+
 def validate_joint(raw) -> JointModel:
     """Validate a k x n matrix of joint probabilities and wrap it as a model.
 

@@ -141,8 +141,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def fig1_rows(k: int, delta_step: float = 0.01) -> list:
     """Bound curves (L, U, U_simpl) over the full separation range [0, k-1]."""
-    if delta_step <= 0:
-        raise BadParamError(f"delta_step={delta_step!r} must be positive")
+    if not 0.0 < delta_step < math.inf:
+        raise BadParamError(f"delta_step={delta_step!r} must be positive and finite")
     rows = []
     for d in _grid(0.0, float(k - 1), delta_step):
         d = float(d)
@@ -276,11 +276,9 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
     it does.  Entropy and separation come from closed forms, keeping the
     scan O(k_max).
     """
-    if not nu > 1.0:
-        raise BadParamError(f"nu={nu!r} must exceed 1")
+    if not 1.0 < nu < math.inf:
+        raise BadParamError(f"nu={nu!r} must be finite and exceed 1")
     k_start = math.floor(nu) + 1
-    if k_start <= nu:
-        k_start += 1
     if k_max < k_start:
         raise BadParamError(f"k_max={k_max} leaves no k > nu={nu}")
     rows = []

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfRangeError, TooLargeError
-from .model import JointModel, PosteriorProfile, require_classes
+from .model import JointModel, PosteriorProfile, clamp, require_classes
 
 # Ceil is discontinuous, so a value that lands on an integer up to
 # representation error (a separation of 2.0000000000000004, or exp(H) at an
@@ -45,10 +45,7 @@ class DeltaValue:
 def _into_domain(k: int, delta: float) -> float:
     """Check k, then clamp delta into [0, k-1], allowing INTEGER_SNAP of float overshoot."""
     require_classes(k)
-    hi = float(k - 1)
-    if delta < -INTEGER_SNAP or delta > hi + INTEGER_SNAP:
-        raise OutOfRangeError(f"delta={delta!r} outside [0, {k - 1}]")
-    return min(max(delta, 0.0), hi)
+    return clamp(delta, 0.0, float(k - 1), INTEGER_SNAP, OutOfRangeError, "delta")
 
 
 def snapped_ceil(x: float) -> int:

@@ -83,6 +83,11 @@ class TestBayesError:
                 classifier_error(m, bayes_classifier(m)), abs=1e-14
             )
 
+    def test_tiny_error_of_bayes_rule_is_exact(self):
+        # 1 - (sum of hits) would cancel 1e-15 to 9.992e-16
+        m = validate_joint([[0.5 - 1e-15, 0.5], [1e-15, 0.0]])
+        assert classifier_error(m, bayes_classifier(m)) == bayes_error(m) == 1e-15
+
     def test_identical_subdistributions_hit_upper_extreme(self):
         for k in (2, 3, 5):
             m = validate_joint(np.full((k, 3), 1.0 / (3 * k)))

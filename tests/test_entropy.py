@@ -27,7 +27,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.entropy import H_SLACK, _phi_inverse
+from misbounds.entropy import H_SLACK, LOG_FLOAT_MAX, _phi_inverse
 from misbounds.tv_bounds import _compositions
 
 # class counts spanning the binary case to a very wide alphabet
@@ -291,6 +291,13 @@ class TestUpperFM:
     def test_negative_entropy_rejected(self):
         with pytest.raises(NegativeEntropyError):
             upper_fm(-0.1)
+
+    def test_top_of_exp_range_is_accepted_and_beyond_refused(self):
+        # exp(h) is finite up to ln(DBL_MAX) ~ 709.78 and overflows after it
+        assert upper_fm(LOG_FLOAT_MAX) == 1.0
+        for h in (800.0, math.inf, math.nan):
+            with pytest.raises(NegativeEntropyError):
+                upper_fm(h)
 
 
 class TestRenyi:

@@ -79,6 +79,10 @@ class TestPureModel:
         with pytest.raises(BadWeightsError):
             pure_model(a, [1.0, 0.0], [(1, 2), (1, 2)])
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(BadWeightsError):
+            pure_model(validate_profile([0.5, 0.5]), [math.nan, 1.0], [(1, 2), (2, 1)])
+
     def test_bad_permutation(self):
         a = validate_profile([0.8, 0.2])
         with pytest.raises(BadPermutationError):
@@ -320,6 +324,17 @@ class TestQpskQ:
             qpsk_q(0.0)
 
 
+# An unknown key, a missing key, two floats for integers, a non-scalar and a null.
+BAD_SPECS = [
+    {"family": "exponential", "k": 3, "q": 0.3, "m": 5},
+    {"family": "three_class", "p": 0.3},
+    {"family": "exponential", "k": 3.9, "q": 0.3},
+    {"family": "comp_lo", "k": 8.0, "ell": 5},
+    {"family": "exponential", "k": [3], "q": 0.3},
+    {"family": "three_class", "p": 0.3, "eps": None},
+]
+
+
 class TestFromSpec:
     def test_exponential_spec(self):
         p = from_spec({"family": "exponential", "k": 3, "q": 1 / 3})
@@ -348,3 +363,21 @@ class TestFromSpec:
     def test_missing_parameter(self):
         with pytest.raises(BadParamError):
             from_spec({"family": "exponential", "k": 3})
+
+    def test_every_family_builds_as_its_constructor(self):
+        a, weights, perms = [0.5, 0.3, 0.2], [0.5, 0.5], [[1, 2, 3], [3, 2, 1]]
+        pure = from_spec({"family": "pure", "a": a, "weights": weights, "perms": perms})
+        np.testing.assert_array_equal(pure.w, pure_model(validate_profile(a), weights, perms).w)
+        for spec, profile in (
+            ({"family": "binomial", "m": 3, "q": 0.2}, binomial_profile(3, 0.2)),
+            ({"family": "exponential", "k": 8, "q": 0.3}, exponential_profile(8, 0.3)),
+            ({"family": "three_class", "p": 0.3, "eps": 0.1}, three_class_profile(0.3, 0.1)),
+            ({"family": "comp_lo", "k": 8, "ell": 5}, comp_lo_profile(8, 5)),
+            ({"family": "comp_hi", "k": 10, "nu": 2.5}, comp_hi_profile(10, 2.5)),
+        ):
+            np.testing.assert_array_equal(from_spec(spec).a, profile.a)
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(BadParamError):
+            from_spec(spec)

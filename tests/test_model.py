@@ -1,13 +1,18 @@
-"""Model validation, marginals, posteriors, and file round-trips."""
+"""Model validation, marginals, posteriors, file round-trips, and argument domains."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from misbounds import (
     DeltaValue,
     EntropyValue,
     JointModel,
     MassNotOneError,
+    MisboundsError,
     NegativeEntryError,
     ParseError,
     TooFewClassesError,
@@ -24,9 +29,11 @@ from misbounds import (
     simplex_grid_oracle,
     upper_bound,
     upper_bound_simpl,
+    upper_fm,
     validate_joint,
     validate_profile,
 )
+from misbounds.model import clamp
 
 EXAMPLE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -113,6 +120,63 @@ def test_every_k_entry_refuses_too_few_classes(entry, k):
     with pytest.raises(TooFewClassesError, match=f"need at least 2 classes, got k={k}"):
         K_ENTRIES[entry](k)
     K_ENTRIES[entry](2)  # the same call is legal with two classes
+
+
+class TestClamp:
+    def test_slack_is_absorbed_onto_the_ends(self):
+        assert clamp(-1e-13, 0.0, 1.0, 1e-12, ValueError, "x") == 0.0
+        assert clamp(1.0 + 1e-13, 0.0, 1.0, 1e-12, ValueError, "x") == 1.0
+        assert clamp(0.25, 0.0, 1.0, 1e-12, ValueError, "x") == 0.25
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.1, -1e-11])
+    def test_nonfinite_and_far_values_raise_the_given_error(self, value):
+        with pytest.raises(TooFewClassesError, match="x="):
+            clamp(value, 0.0, 1.0, 1e-12, TooFewClassesError, "x")
+
+
+# Every public entry that takes one real argument x, at k classes, with the
+# closed range its value must land in; profiles are checked entrywise.
+X_ENTRIES = {
+    "DeltaValue": (lambda k, x: DeltaValue(delta=x, k=k).delta, lambda k: (0.0, k - 1.0)),
+    "EntropyValue": (lambda k, x: EntropyValue(h=x, k=k).h, lambda k: (0.0, math.log(k))),
+    "lower_bound": (lower_bound, lambda k: (0.0, 1.0 - 1.0 / k)),
+    "upper_bound": (upper_bound, lambda k: (0.0, 1.0 - 1.0 / k)),
+    "upper_bound_simpl": (upper_bound_simpl, lambda k: (0.0, 1.0 - 1.0 / k)),
+    "extremal_low_profile": (lambda k, x: extremal_low_profile(k, x).a, lambda k: (0.0, 1.0)),
+    "extremal_high_profile": (lambda k, x: extremal_high_profile(k, x).a, lambda k: (0.0, 1.0)),
+    "phi": (phi, lambda k: (0.0, math.log(k))),
+    "lower_fm": (lower_fm, lambda k: (0.0, 1.0 - 1.0 / k)),
+    "upper_fm": (lambda k, x: upper_fm(x), lambda k: (0.0, 1.0)),
+}
+
+# rounding of the closed forms at the ends of their ranges (phi(k, 1-1/k)
+# exceeds ln k by an ulp)
+RANGE_ROUNDING = 1e-14
+
+
+@pytest.mark.parametrize("entry", sorted(X_ENTRIES))
+@given(
+    k=st.integers(min_value=2, max_value=50),
+    x=st.floats()
+    | st.floats(min_value=-1e-8, max_value=50.0)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+)
+def test_every_x_entry_returns_finite_in_range_or_a_typed_error(entry, k, x):
+    call, bounds = X_ENTRIES[entry]
+    try:
+        value = np.asarray(call(k, x))
+    except MisboundsError:
+        return
+    lo, hi = bounds(k)
+    assert np.all(np.isfinite(value))
+    assert np.all((lo - RANGE_ROUNDING <= value) & (value <= hi + RANGE_ROUNDING))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(X_ENTRIES))
+def test_every_x_entry_refuses_nonfinite(entry, x):
+    with pytest.raises(MisboundsError):
+        X_ENTRIES[entry][0](3, x)
 
 
 class TestMarginalPosterior:

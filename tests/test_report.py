@@ -174,6 +174,11 @@ class TestFig1:
         rows = fig1_rows(3, delta_step=0.5)
         assert [r["delta"] for r in rows] == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(BadParamError):
+            fig1_rows(3, delta_step=step)
+
 
 class TestFig2:
     def test_default_p_set(self):
@@ -289,6 +294,11 @@ class TestCompareHi:
         with pytest.raises(BadParamError):
             compare_hi_scan(5.0, 4)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_nonfinite_nu_refused(self, nu):
+        with pytest.raises(BadParamError):
+            compare_hi_scan(nu, 10)
+
 
 class TestVerifySuites:
     def test_default_suites_all_pass(self):
@@ -387,6 +397,32 @@ class TestCli:
         assert proc.returncode == 0
         assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
         assert doc["delta"] == pytest.approx(19997.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"family": "exponential", "k": 3, "q": 0.3, "m": 5}',
+            '{"family": "three_class", "p": 0.3}',
+            '{"family": "exponential", "k": 3.9, "q": 0.3}',
+            '{"family": "exponential", "k": [3], "q": 0.3}',
+            '{"family": "three_class", "p": 0.3, "eps": null}',
+            '{"family": "pure", "a": [0.5, 0.5], "weights": [NaN, 1.0], "perms": [[1, 2], [2, 1]]}',
+        ],
+    )
+    def test_report_malformed_family_exits_one(self, spec, capsys):
+        assert main(["report", "--family", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv", [["compare-hi", "--nu", "inf", "--k", "10"], ["fig1", "--delta-step", "nan"]]
+    )
+    def test_nonfinite_flag_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_report_requires_exactly_one_input(self, capsys):
         assert main(["report"]) == 1
