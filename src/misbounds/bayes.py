@@ -61,6 +61,16 @@ def bayes_error(model: JointModel) -> float:
     return _mass_off(model, model.w.argmax(axis=0))
 
 
+def profile_errors(profiles: np.ndarray) -> np.ndarray:
+    """Bayes error of each row of a (B, k) stack of profiles: the mass off its maximum.
+
+    Each row is summed as _mass_off sums the k x 1 model of that profile.
+    """
+    rest = profiles.copy()
+    rest[np.arange(len(rest)), rest.argmax(axis=1)] = 0.0
+    return rest.sum(axis=1)
+
+
 def brute_force_bayes_error(model: JointModel, chunk: int = 4096) -> float:
     """Minimum error over every deterministic rule, by direct enumeration.
 

@@ -23,8 +23,8 @@ from .errors import (
     NegativeEntropyError,
     OutOfRangeError,
 )
-from .model import JointModel, PosteriorProfile, clamp, require_classes, validate_joint
-from .tv_bounds import INTEGER_SNAP, snapped_ceil
+from .model import JointModel, PosteriorProfile, clamp, clamp_array, require_classes, validate_joint
+from .tv_bounds import INTEGER_SNAP, snapped_ceil, snapped_ceil_array
 
 # Domain-edge slack for entropy arguments; beyond it the input is an error,
 # within it the value is clamped onto the closed domain.
@@ -89,6 +89,11 @@ def conditional_entropy(model: JointModel) -> EntropyValue:
 def entropy_of_profile(profile: PosteriorProfile) -> EntropyValue:
     """Shannon entropy of one posterior profile, in nats."""
     return EntropyValue(h=-float(_plogp(profile.a).sum()), k=profile.k)
+
+
+def profile_entropies(profiles: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row of a (B, k) stack of profiles, unclamped."""
+    return -_plogp(profiles).sum(axis=1)
 
 
 def _h2(p: float) -> float:
@@ -186,8 +191,32 @@ def upper_fm(h: float) -> float:
     """
     h = clamp(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h")
     e = max(snapped_ceil(math.exp(h)) - 1, 1)
-    slope_term = (h - math.log(e)) / math.log1p(1.0 / e)
-    return (e - 1.0) / e + slope_term / (e * (e + 1.0))
+    return _upper_fm_branch(h, e, math.log, math.log1p)
+
+
+def _upper_fm_branch(h, e, log, log1p):
+    """The bound on branch e, for a float or an array; log and log1p match the argument."""
+    return (e - 1.0) / e + (h - log(e)) / log1p(1.0 / e) / (e * (e + 1.0))
+
+
+def upper_fm_array(h: np.ndarray) -> np.ndarray:
+    """upper_fm of every entry, with numpy's exp and log in place of the math module's."""
+    h = clamp_array(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h")
+    e = np.maximum(snapped_ceil_array(np.exp(h)) - 1.0, 1.0)
+    # e (e + 1) overflows to inf near LOG_FLOAT_MAX, as the float product does in upper_fm
+    with np.errstate(over="ignore"):
+        return _upper_fm_branch(h, e, np.log, np.log1p)
+
+
+def entropy_columns(k, h) -> dict:
+    """The clamped entropies and U_FM at each, over an array of entropies.
+
+    k is one class count or an integer array of them, one per entropy; h is
+    clamped as EntropyValue clamps it.
+    """
+    require_classes(int(np.min(k)))
+    h = clamp_array(h, 0.0, np.log(k), H_SLACK, EntropyOutOfRangeError, "h")
+    return {"entropy_nats": h, "U_FM": upper_fm_array(h)}
 
 
 def renyi_conditional_entropy(model: JointModel, beta: float) -> RenyiValue:

@@ -29,6 +29,11 @@ class DomainWarning(UserWarning):
     """Parameters are legal but outside a guarantee's proven range."""
 
 
+def _require_profile_size(k: int) -> None:
+    if k > PROFILE_SIZE_LIMIT:
+        raise TooLargeError(f"k={k} exceeds limit {PROFILE_SIZE_LIMIT}")
+
+
 def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     """Assemble a joint model whose every posterior is `profile` relabeled.
 
@@ -83,8 +88,7 @@ def exponential_profile(k: int, q: float) -> PosteriorProfile:
         raise BadParamError(f"k={k!r} must be an integer >= 2")
     if not 0.0 < q < 1.0:
         raise BadParamError(f"q={q!r} must lie in (0, 1)")
-    if k > PROFILE_SIZE_LIMIT:
-        raise TooLargeError(f"k={k} exceeds limit {PROFILE_SIZE_LIMIT}")
+    _require_profile_size(k)
     i = np.arange(1, k + 1, dtype=float)
     log_terms = (i - 1.0) * math.log1p(-q) + (k - i) * math.log(q)
     if float(log_terms.max()) < -690.0:
@@ -125,6 +129,7 @@ def comp_lo_profile(k: int, ell: int) -> PosteriorProfile:
         raise BadParamError(f"k={k!r} must be an integer >= 3")
     if not (isinstance(ell, (int, np.integer)) and 2 <= ell <= k):
         raise BadParamError(f"ell={ell!r} must be an integer in 2..{k}")
+    _require_profile_size(k)
     if ell not in comp_lo_guaranteed(k):
         warnings.warn(
             f"ell={ell} is outside the guaranteed set for k={k}; "
@@ -143,29 +148,33 @@ def comp_hi_profile(k: int, nu: float) -> PosteriorProfile:
         raise BadParamError(f"nu={nu!r} must exceed 1")
     if not (isinstance(k, (int, np.integer)) and k > nu):
         raise BadParamError(f"k={k!r} must be an integer > nu={nu}")
+    _require_profile_size(k)
     a = np.full(k, (nu - 1.0) / (k * (k - 1.0)))
     a[0] = 1.0 - (nu - 1.0) / k
     return PosteriorProfile(a=a)
 
 
-def comp_hi_stats(k: int, nu: float) -> dict:
+def comp_hi_stats(k, nu: float) -> dict:
     """Closed-form separation, entropy, and Bayes error of comp_hi_profile.
 
     O(1) regardless of k, which keeps crossover scans over k up to 10^4
-    cheap; values match the constructed profile to float accuracy.
+    cheap; values match the constructed profile to float accuracy.  k is one
+    class count, giving floats, or an integer array of them, giving arrays.
     """
     if not nu > 1.0:
         raise BadParamError(f"nu={nu!r} must exceed 1")
-    if not k > nu:
+    kf = np.asarray(k, dtype=float)
+    if not np.all(kf > nu):
         raise BadParamError(f"k={k!r} must exceed nu={nu}")
-    top = 1.0 - (nu - 1.0) / k
-    tail = (nu - 1.0) / (k * (k - 1.0))
-    h = 0.0
-    if top > 0.0:
-        h -= top * math.log(top)
-    if tail > 0.0:
-        h -= (k - 1.0) * tail * math.log(tail)
-    return {"delta": k - nu, "entropy_nats": h, "p_star": (nu - 1.0) / k}
+    top = 1.0 - (nu - 1.0) / kf
+    tail = (nu - 1.0) / (kf * (kf - 1.0))
+    # 0 ln 0 = 0, for an entry that underflows at huge k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(top > 0.0, -top * np.log(top), 0.0) - np.where(
+            tail > 0.0, (kf - 1.0) * tail * np.log(tail), 0.0
+        )
+    stats = {"delta": kf - nu, "entropy_nats": h, "p_star": (nu - 1.0) / kf}
+    return stats if kf.ndim else {key: float(value) for key, value in stats.items()}
 
 
 def qpsk_q(eb_n0: float) -> float:
@@ -184,19 +193,26 @@ def _reals(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _integer(value) -> int:
+    """operator.index, which refuses 3.9, "3" and [3], and refuses true and false too."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 def _integer_rows(value) -> list:
-    return [[operator.index(label) for label in row] for row in value]
+    return [[_integer(label) for label in row] for row in value]
 
 
 # family -> (constructor, {parameter: conversion}), parameters in argument order;
-# operator.index refuses 3.9, "3" and [3] instead of coercing them.
+# the conversions refuse values of the wrong type instead of coercing them.
 FAMILIES = {
     "pure": (pure_model, {"a": validate_profile, "weights": _reals, "perms": _integer_rows}),
-    "binomial": (binomial_profile, {"m": operator.index, "q": float}),
-    "exponential": (exponential_profile, {"k": operator.index, "q": float}),
+    "binomial": (binomial_profile, {"m": _integer, "q": float}),
+    "exponential": (exponential_profile, {"k": _integer, "q": float}),
     "three_class": (three_class_profile, {"p": float, "eps": float}),
-    "comp_lo": (comp_lo_profile, {"k": operator.index, "ell": operator.index}),
-    "comp_hi": (comp_hi_profile, {"k": operator.index, "nu": float}),
+    "comp_lo": (comp_lo_profile, {"k": _integer, "ell": _integer}),
+    "comp_hi": (comp_hi_profile, {"k": _integer, "nu": float}),
 }
 
 

@@ -80,6 +80,21 @@ def clamp(value: float, lo: float, hi: float, slack: float, error: type, name: s
     return min(max(value, lo), hi)
 
 
+def clamp_array(values, lo, hi, slack: float, error: type, name: str) -> np.ndarray:
+    """clamp on every entry of an array; lo and hi may be arrays that broadcast against it.
+
+    The first entry that is NaN or beyond `slack` raises as clamp raises on it.
+    Entries are clamped with clamp's comparisons, so a -0.0 stays -0.0.
+    """
+    values, lo, hi = np.broadcast_arrays(np.asarray(values, dtype=float), lo, hi)
+    inside = (lo - slack <= values) & (values <= hi + slack)
+    if not inside.all():
+        i = np.unravel_index(np.argmin(inside), inside.shape)
+        clamp(float(values[i]), float(lo[i]), float(hi[i]), slack, error, name)
+    raised = np.where(lo > values, lo, values)
+    return np.where(hi < raised, hi, raised)
+
+
 def validate_joint(raw) -> JointModel:
     """Validate a k x n matrix of joint probabilities and wrap it as a model.
 

@@ -9,23 +9,27 @@ sandwich verify suite iterate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import bayes_error, brute_force_bayes_error
+from .bayes import bayes_error, brute_force_bayes_error, profile_errors
 from .entropy import (
     conditional_entropy,
+    entropy_columns,
     entropy_of_profile,
     ep_counterexample_check,
     lower_fm,
     phi,
+    profile_entropies,
     upper_fm,
 )
-from .errors import BadParamError, InvariantViolationError
+from .errors import BadParamError, InvariantViolationError, TooLargeError
 from .families import (
+    PROFILE_SIZE_LIMIT,
     binomial_profile,
     comp_hi_stats,
     comp_lo_guaranteed,
@@ -34,9 +38,12 @@ from .families import (
 )
 from .model import JointModel, PosteriorProfile, validate_joint
 from .tv_bounds import (
+    GRID_LIMIT,
     delta,
     delta_of_profile,
+    envelope_columns,
     lower_bound,
+    profile_separations,
     simplex_grid_oracle,
     upper_bound,
     upper_bound_simpl,
@@ -53,6 +60,20 @@ COMP_LO_LIMIT = 6.0 - 8.0 * math.log(2.0)
 def log10_or_none(value: float):
     """log10 for positive values; nonpositive ones have no finite log."""
     return math.log10(value) if value > 0.0 else None
+
+
+def chain_slacks(p_star, L, U, U_simpl, L_FM, U_FM) -> tuple:
+    """(link, slack) for each link of the two sandwich chains; a negative slack means it is broken.
+
+    Plain arithmetic, so the values may be one report's floats or a sweep's columns.
+    """
+    return (
+        ("L<=p*", p_star - L),
+        ("p*<=U", U - p_star),
+        ("U<=U_simpl", U_simpl - U),
+        ("L_FM<=p*", p_star - L_FM),
+        ("p*<=U_FM", U_FM - p_star),
+    )
 
 
 @dataclass(frozen=True)
@@ -81,13 +102,7 @@ class BoundsReport:
     @property
     def slacks(self) -> tuple:
         """(link, slack) for each chain link; a negative slack means the link is broken."""
-        return (
-            ("L<=p*", self.p_star - self.L),
-            ("p*<=U", self.U - self.p_star),
-            ("U<=U_simpl", self.U_simpl - self.U),
-            ("L_FM<=p*", self.p_star - self.L_FM),
-            ("p*<=U_FM", self.U_FM - self.p_star),
-        )
+        return chain_slacks(self.p_star, self.L, self.U, self.U_simpl, self.L_FM, self.U_FM)
 
     @classmethod
     def _evaluate(cls, k: int, d: float, h: float, p_star: float) -> "BoundsReport":
@@ -128,11 +143,56 @@ class BoundsReport:
 
 
 # --- figure sweeps ----------------------------------------------------------
+#
+# Each sweep evaluates its grid as columns, one array pass per grid.  The
+# profile sweeps check both chains on every row; fig1 checks L <= U <= U_simpl.
+# Single reports stay on the scalar path above: for one profile an array pass
+# costs several times what the scalar one does.
+
+
+def _check_chain(columns: dict) -> None:
+    """Refuse the columns if any chain link is broken by more than CHAIN_SLACK on some row."""
+    names = ("p_star", "L", "U", "U_simpl", "L_FM", "U_FM")
+    for name, slack in chain_slacks(*(columns[n] for n in names)):
+        broken = slack < -CHAIN_SLACK
+        if broken.any():
+            row = int(np.argmax(broken))
+            raise InvariantViolationError(f"{name} violated by {-slack[row]:.3e} at row {row}")
+
+
+def _profile_columns(k: int, profiles: np.ndarray) -> dict:
+    """The fields of BoundsReport.from_profile, as columns, for a (B, k) stack of profiles.
+
+    L_FM maps the scalar lower_fm over the entropy column: an array
+    phi-inverse would save little.  The chains are checked before return.
+    """
+    columns = {
+        **envelope_columns(k, profile_separations(profiles)),
+        **entropy_columns(k, profile_entropies(profiles)),
+        "p_star": profile_errors(profiles),
+    }
+    columns["L_FM"] = np.array([lower_fm(k, h) for h in columns["entropy_nats"].tolist()])
+    _check_chain(columns)
+    return columns
+
+
+def _rows(columns: dict) -> list:
+    """Dict rows, in column order, from equal-length columns; cells are Python scalars."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
+def _require_rows(count, what: str) -> None:
+    """Refuse, before anything is allocated, a sweep of more than GRID_LIMIT rows."""
+    if not count <= GRID_LIMIT:
+        raise TooLargeError(f"{what} gives {count:.3g} rows, over the limit of {GRID_LIMIT}")
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive grid from lo to hi; lands exactly on hi when step divides."""
-    count = round((hi - lo) / step)
+    steps = (hi - lo) / step
+    _require_rows(steps + 1, f"a step of {step!r}")
+    count = round(steps)
     if count >= 1 and abs(lo + count * step - hi) <= 1e-9:
         return np.linspace(lo, hi, count + 1)
     pts = np.arange(lo, hi, step)
@@ -143,57 +203,60 @@ def fig1_rows(k: int, delta_step: float = 0.01) -> list:
     """Bound curves (L, U, U_simpl) over the full separation range [0, k-1]."""
     if not 0.0 < delta_step < math.inf:
         raise BadParamError(f"delta_step={delta_step!r} must be positive and finite")
-    rows = []
-    for d in _grid(0.0, float(k - 1), delta_step):
-        d = float(d)
-        L = lower_bound(k, d)
-        U = upper_bound(k, d)
-        U_s = upper_bound_simpl(k, d)
-        if not (L <= U + CHAIN_SLACK and U <= U_s + CHAIN_SLACK):
-            raise InvariantViolationError(f"bound chain broken at delta={d}")
-        rows.append({"delta": d, "L": L, "U": U, "U_simpl": U_s})
-    return rows
+    columns = envelope_columns(k, _grid(0.0, float(k - 1), delta_step))
+    L, U, U_simpl = columns["L"], columns["U"], columns["U_simpl"]
+    broken = ~((L <= U + CHAIN_SLACK) & (U <= U_simpl + CHAIN_SLACK))
+    if broken.any():
+        raise InvariantViolationError(
+            f"bound chain broken at delta={float(columns['delta'][np.argmax(broken)])}"
+        )
+    return _rows(columns)
 
 
 FIG2_DEFAULT_P = (0.01, 0.1, 0.3, 0.5, 0.6, 0.64)
 FIG2_POINTS = 101
+FIG2_LOG_COLUMNS = ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star")
 
 
 def fig2_rows(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> list:
     """Three-class log-scale sweep: for each target error p, scan feasible eps."""
     if points < 1:
         raise BadParamError(f"points={points!r} must be >= 1")
-    rows = []
+    p_list = list(p_list)
+    _require_rows(len(p_list) * points, f"{len(p_list)} values of p at {points} points")
+    p_column, eps_column = [], []
     for p in p_list:
         lo = max(2.0 * p - 1.0, 0.0)
         hi = p / 2.0
         # at p = 2/3 the feasible range collapses to a point (up to round-off)
-        eps_grid = [0.5 * (lo + hi)] if hi - lo <= 1e-12 else np.linspace(lo, hi, points)
-        for eps in eps_grid:
-            rep = BoundsReport.from_profile(three_class_profile(float(p), float(eps)))
-            rows.append(
-                {
-                    "p": float(p),
-                    "eps": float(eps),
-                    "log10_L": log10_or_none(rep.L),
-                    "log10_U": log10_or_none(rep.U),
-                    "log10_U_simpl": log10_or_none(rep.U_simpl),
-                    "log10_L_FM": log10_or_none(rep.L_FM),
-                    "log10_U_FM": log10_or_none(rep.U_FM),
-                    "log10_p_star": log10_or_none(rep.p_star),
-                }
-            )
-    return rows
+        if hi - lo <= 1e-12:
+            eps_grid = [float(0.5 * (lo + hi))]
+        else:
+            eps_grid = np.linspace(lo, hi, points).tolist()
+        p_column += [float(p)] * len(eps_grid)
+        eps_column += eps_grid
+    if not p_column:
+        return []
+    profiles = np.stack([three_class_profile(p, eps).a for p, eps in zip(p_column, eps_column)])
+    columns = _profile_columns(3, profiles)
+    logs = {
+        f"log10_{name}": [log10_or_none(v) for v in columns[name].tolist()]
+        for name in FIG2_LOG_COLUMNS
+    }
+    return _rows({"p": p_column, "eps": eps_column, **logs})
 
 
 FIG3_DEFAULT_K = (2, 4, 8)
+FIG3_COLUMNS = ("delta", "entropy_nats", "p_star", "L", "U", "U_simpl", "L_FM", "U_FM")
 
 
 def fig3_rows(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> list:
     """Binomial and geometric-profile bound sweeps over q in (0, 1/2]."""
     if not 0.0 < q_step <= 0.5:
         raise BadParamError(f"q_step={q_step!r} must lie in (0, 0.5]")
-    q_grid = _grid(q_step, 0.5, q_step)
+    q_grid = _grid(q_step, 0.5, q_step).tolist()
+    k_list = list(k_list)
+    _require_rows(2 * len(k_list) * len(q_grid), f"{len(k_list)} class counts at {len(q_grid)} q")
     rows = []
     for family in ("binomial", "exponential"):
         for k in k_list:
@@ -201,18 +264,16 @@ def fig3_rows(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> list:
                 m = int(round(math.log2(k)))
                 if 2**m != k:
                     raise BadParamError(f"binomial family needs k a power of 2, got {k}")
-            for q in q_grid:
-                q = float(q)
-                if family == "binomial":
-                    profile = binomial_profile(m, q)
-                else:
-                    profile = exponential_profile(int(k), q)
-                rep = BoundsReport.from_profile(profile)
-                full = rep.as_dict()
-                row = {"family": family, "k": int(k), "q": q}
-                for key in ("delta", "entropy_nats", "p_star", "L", "U", "U_simpl", "L_FM", "U_FM"):
-                    row[key] = full[key]
-                rows.append(row)
+                build = functools.partial(binomial_profile, m)
+            else:
+                build = functools.partial(exponential_profile, int(k))
+            # stacks of at most PROFILE_SIZE_LIMIT entries keep memory linear in k
+            chunk = max(1, PROFILE_SIZE_LIMIT // int(k))
+            for start in range(0, len(q_grid), chunk):
+                qs = q_grid[start : start + chunk]
+                columns = _profile_columns(int(k), np.stack([build(q).a for q in qs]))
+                fixed = {"family": [family] * len(qs), "k": [int(k)] * len(qs), "q": qs}
+                rows += _rows({**fixed, **{key: columns[key] for key in FIG3_COLUMNS}})
     return rows
 
 
@@ -273,37 +334,37 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
 
     U(delta) stays at or above 1 - 1/floor(nu) while U_FM(H) decays to 0 as
     k grows, so a crossover must appear; the scan reports the first k where
-    it does.  Entropy and separation come from closed forms, keeping the
-    scan O(k_max).
+    it does.  Entropy and separation come from closed forms, evaluated over
+    the whole k range as arrays; at most GRID_LIMIT class counts are scanned.
     """
     if not 1.0 < nu < math.inf:
         raise BadParamError(f"nu={nu!r} must be finite and exceed 1")
     k_start = math.floor(nu) + 1
     if k_max < k_start:
         raise BadParamError(f"k_max={k_max} leaves no k > nu={nu}")
-    rows = []
-    crossover = None
-    for k in range(k_start, k_max + 1):
-        stats = comp_hi_stats(k, nu)
-        U = upper_bound(k, stats["delta"])
-        U_fm = upper_fm(stats["entropy_nats"])
-        exceeds = U > U_fm
-        if exceeds and crossover is None:
-            crossover = k
-        rows.append(
-            {
-                "k": k,
-                "delta": stats["delta"],
-                "entropy_nats": stats["entropy_nats"],
-                "U": U,
-                "U_FM": U_fm,
-                "U_exceeds_U_FM": exceeds,
-            }
-        )
+    _require_rows(k_max - k_start + 1, f"k = {k_start}..{k_max}")
+    ks = np.arange(k_start, k_max + 1)
+    stats = comp_hi_stats(ks, nu)
+    columns = {
+        **envelope_columns(ks, stats["delta"]),
+        **entropy_columns(ks, stats["entropy_nats"]),
+    }
+    exceeds = columns["U"] > columns["U_FM"]
+    crossover = int(ks[np.argmax(exceeds)]) if exceeds.any() else None
     if nu == 2.0 and k_max >= 10**4 and crossover is None:
         raise InvariantViolationError(
             f"no k <= {k_max} with U > U_FM at nu=2; expected one to exist"
         )
+    rows = _rows(
+        {
+            "k": ks,
+            "delta": columns["delta"],
+            "entropy_nats": columns["entropy_nats"],
+            "U": columns["U"],
+            "U_FM": columns["U_FM"],
+            "U_exceeds_U_FM": exceeds,
+        }
+    )
     return CompareHiScan(nu=nu, k_max=k_max, crossover_k=crossover, rows=tuple(rows))
 
 
@@ -436,6 +497,24 @@ def _cell(value) -> str:
     return str(value)
 
 
+CSV_BLOCK_ROWS = 1024
+
+# Exact cell type -> its _cell text, for columns that hold a single type.
+_COLUMN_FORMATS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str.__str__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _column_cells(values: list) -> list:
+    """_cell of every value in a column, mapped at once when the column holds one type."""
+    kinds = set(map(type, values))
+    format_ = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(format_ or _cell, values))
+
+
 def rows_to_csv(rows: list, header_comments=()) -> str:
     """Render dict rows as CSV; column order follows the first row's keys."""
     if not rows:
@@ -443,8 +522,11 @@ def rows_to_csv(rows: list, header_comments=()) -> str:
     columns = list(rows[0].keys())
     lines = [f"# {c}" for c in header_comments]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(row.get(col)) for col in columns))
+    # a block at a time, so that only one block's cell strings are alive at once
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start : start + CSV_BLOCK_ROWS]
+        cells = [_column_cells([row.get(col) for row in block]) for col in columns]
+        lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfRangeError, TooLargeError
-from .model import JointModel, PosteriorProfile, clamp, require_classes
+from .model import JointModel, PosteriorProfile, clamp, clamp_array, require_classes
 
 # Ceil is discontinuous, so a value that lands on an integer up to
 # representation error (a separation of 2.0000000000000004, or exp(H) at an
@@ -56,6 +56,12 @@ def snapped_ceil(x: float) -> int:
     return math.ceil(x)
 
 
+def snapped_ceil_array(x: np.ndarray) -> np.ndarray:
+    """snapped_ceil of every entry, as integral floats, which hold any magnitude."""
+    nearest = np.round(x)
+    return np.where(np.abs(x - nearest) <= INTEGER_SNAP, nearest, np.ceil(x))
+
+
 def _pairwise_abs_sum(w: np.ndarray) -> float:
     """Sum over row pairs y < z of sum_x |w[y,x] - w[z,x]|, in O(kn log k).
 
@@ -68,6 +74,18 @@ def _pairwise_abs_sum(w: np.ndarray) -> float:
     return float(ranks @ np.sort(w, axis=0).sum(axis=1))
 
 
+def profile_separations(profiles: np.ndarray) -> np.ndarray:
+    """Pairwise absolute-difference sum of each row of a (B, k) stack of profiles, unclamped.
+
+    Each row takes the same rank-weight dot product as _pairwise_abs_sum, so
+    it is bit-identical to delta_of_profile on that row; a single matrix-vector
+    product would sum in another order.
+    """
+    k = profiles.shape[1]
+    ranks = np.arange(1 - k, k, 2, dtype=float)
+    return np.array([ranks @ row for row in np.sort(profiles, axis=1)])
+
+
 def delta(model: JointModel) -> DeltaValue:
     """Sum over label pairs y < z of sum_x |w[y,x] - w[z,x]|."""
     return DeltaValue(delta=_pairwise_abs_sum(model.w), k=model.k)
@@ -78,23 +96,54 @@ def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
     return DeltaValue(delta=_pairwise_abs_sum(profile.a[:, None]), k=profile.k)
 
 
+# The envelope formulas, written once for a float or an array of separations d
+# already in [0, k-1]; m is snapped_ceil(d).
+
+
+def _lower(k, d):
+    return 1.0 - (1.0 + d) / k
+
+
+def _top(k, d, m):
+    """Height of the flat top block of the profile that attains U; U = 1 - top."""
+    return (k + 1 + d - 2 * m) / ((k - m) * (k + 1 - m))
+
+
+def _upper_simpl(k, d):
+    return 1.0 - 1.0 / (k - d)
+
+
 def lower_bound(k: int, delta: float) -> float:
     """L(delta) = 1 - (1 + delta)/k, affine from 1 - 1/k down to 0."""
-    d = _into_domain(k, delta)
-    return 1.0 - (1.0 + d) / k
+    return _lower(k, _into_domain(k, delta))
 
 
 def upper_bound(k: int, delta: float) -> float:
     """Tight upper bound: linear interpolation of 1 - 1/(k - m) between integers m."""
     d = _into_domain(k, delta)
-    m = snapped_ceil(d)
-    return 1.0 - (k + 1 + d - 2 * m) / ((k - m) * (k + 1 - m))
+    return 1.0 - _top(k, d, snapped_ceil(d))
 
 
 def upper_bound_simpl(k: int, delta: float) -> float:
     """Smooth relaxation 1 - 1/(k - delta); ties upper_bound exactly at integers."""
-    d = _into_domain(k, delta)
-    return 1.0 - 1.0 / (k - d)
+    return _upper_simpl(k, _into_domain(k, delta))
+
+
+def envelope_columns(k, delta) -> dict:
+    """The clamped separations and L, U, U_simpl at each, over an array of separations.
+
+    k is one class count or an integer array of them, one per separation.
+    Clamping and the formulas are those of lower_bound, upper_bound and
+    upper_bound_simpl, entry by entry.
+    """
+    require_classes(int(np.min(k)))
+    d = clamp_array(delta, 0.0, k - 1.0, INTEGER_SNAP, OutOfRangeError, "delta")
+    return {
+        "delta": d,
+        "L": _lower(k, d),
+        "U": 1.0 - _top(k, d, snapped_ceil_array(d)),
+        "U_simpl": _upper_simpl(k, d),
+    }
 
 
 def extremal_low_profile(k: int, d: float) -> PosteriorProfile:
@@ -109,7 +158,7 @@ def extremal_high_profile(k: int, d: float) -> PosteriorProfile:
     """Profile attaining the upper bound: a flat top block, one remainder, zeros."""
     d = _into_domain(k, d)
     m = snapped_ceil(d)
-    top = (k + 1 + d - 2 * m) / ((k - m) * (k + 1 - m))
+    top = _top(k, d, m)
     a = np.zeros(k)
     a[: k - m] = top
     if m >= 1:

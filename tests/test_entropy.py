@@ -27,7 +27,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.entropy import H_SLACK, LOG_FLOAT_MAX, _phi_inverse
+from misbounds.entropy import H_SLACK, LOG_FLOAT_MAX, _phi_inverse, upper_fm_array
 from misbounds.tv_bounds import _compositions
 
 # class counts spanning the binary case to a very wide alphabet
@@ -282,6 +282,18 @@ class TestUpperFM:
             node = upper_fm(math.log(m))
             assert abs(upper_fm(math.log(m) - 1e-9) - node) <= 1e-6
             assert abs(upper_fm(math.log(m) + 1e-9) - node) <= 1e-6
+
+    def test_array_form_matches_scalar(self):
+        knots = [math.log(m) + s for m in range(1, 9) for s in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)]
+        h = np.array([1e-300, 0.3, 2.5, 700.0, LOG_FLOAT_MAX] + knots)
+        np.testing.assert_allclose(
+            upper_fm_array(h), [upper_fm(x) for x in h.tolist()], rtol=1e-15, atol=0.0
+        )
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-8])
+    def test_array_form_refuses_what_scalar_refuses(self, h):
+        with pytest.raises(NegativeEntropyError):
+            upper_fm_array(np.array([0.5, h]))
 
     def test_monotone_nondecreasing(self):
         grid = np.linspace(0, math.log(30), 400)

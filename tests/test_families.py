@@ -286,11 +286,28 @@ class TestCompHiProfile:
             assert stats["entropy_nats"] == pytest.approx(entropy_of_profile(p).h, abs=1e-12)
             assert stats["p_star"] == pytest.approx(1 - p.a.max(), abs=1e-15)
 
+    def test_stats_over_an_array_of_k_match_the_scalar_stats(self):
+        ks = np.arange(3, 200)
+        stats = comp_hi_stats(ks, 2.5)
+        for i, k in enumerate(ks.tolist()):
+            for key, value in comp_hi_stats(k, 2.5).items():
+                assert stats[key][i] == pytest.approx(value, rel=1e-15, abs=0.0)
+        with pytest.raises(BadParamError):
+            comp_hi_stats(np.arange(2, 10), 2.5)
+
     def test_parameter_validation(self):
         with pytest.raises(BadParamError):
             comp_hi_profile(5, 1.0)
         with pytest.raises(BadParamError):
             comp_hi_profile(3, 3.5)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda k: comp_hi_profile(k, 2.0), lambda k: comp_lo_profile(k, k - 1)]
+)
+def test_flat_tail_families_refuse_huge_k_before_allocating(build):
+    with pytest.raises(TooLargeError):
+        build(10**20)
 
 
 class TestQpskQ:
@@ -324,12 +341,15 @@ class TestQpskQ:
             qpsk_q(0.0)
 
 
-# An unknown key, a missing key, two floats for integers, a non-scalar and a null.
+# An unknown key, a missing key, two floats and two booleans for integers, a
+# non-scalar and a null.
 BAD_SPECS = [
     {"family": "exponential", "k": 3, "q": 0.3, "m": 5},
     {"family": "three_class", "p": 0.3},
     {"family": "exponential", "k": 3.9, "q": 0.3},
     {"family": "comp_lo", "k": 8.0, "ell": 5},
+    {"family": "binomial", "m": True, "q": 0.3},
+    {"family": "pure", "a": [0.5, 0.5], "weights": [0.5, 0.5], "perms": [[True, 2], [2, 1]]},
     {"family": "exponential", "k": [3], "q": 0.3},
     {"family": "three_class", "p": 0.3, "eps": None},
 ]

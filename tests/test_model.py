@@ -33,7 +33,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.model import clamp
+from misbounds.model import clamp, clamp_array
 
 EXAMPLE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -132,6 +132,20 @@ class TestClamp:
     def test_nonfinite_and_far_values_raise_the_given_error(self, value):
         with pytest.raises(TooFewClassesError, match="x="):
             clamp(value, 0.0, 1.0, 1e-12, TooFewClassesError, "x")
+
+    def test_array_form_clamps_each_entry_as_clamp_does(self):
+        values = [-1e-13, 0.25, 1.0 + 1e-13, -0.0, 0.0, 1.0]
+        got = clamp_array(np.array(values), 0.0, 1.0, 1e-12, ValueError, "x").tolist()
+        assert got == [clamp(v, 0.0, 1.0, 1e-12, ValueError, "x") for v in values]
+        assert math.copysign(1.0, got[3]) == -1.0  # as max(-0.0, 0.0) keeps -0.0
+        hi = np.array([2.0, 1.0])
+        got = clamp_array([2.0 + 1e-13, 0.5], 0.0, hi, 1e-12, ValueError, "x")
+        assert got.tolist() == [2.0, 0.5]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.1, -1e-11])
+    def test_array_form_raises_on_the_first_bad_entry(self, value):
+        with pytest.raises(TooFewClassesError, match=f"^x={value!r} outside"):
+            clamp_array([0.5, value, 2.0], 0.0, 1.0, 1e-12, TooFewClassesError, "x")
 
 
 # Every public entry that takes one real argument x, at k classes, with the

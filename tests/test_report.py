@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,9 @@ from misbounds import (
     BadParamError,
     BoundsReport,
     InvariantViolationError,
+    TooLargeError,
+    binomial_profile,
+    comp_hi_stats,
     compare_hi_scan,
     compare_lo_rows,
     d_lower_margin,
@@ -24,12 +28,21 @@ from misbounds import (
     fig1_rows,
     fig2_rows,
     fig3_rows,
+    lower_bound,
     run_verify,
+    three_class_profile,
+    upper_bound,
+    upper_bound_simpl,
+    upper_fm,
     validate_joint,
     validate_profile,
 )
 from misbounds.cli import main
 from misbounds.report import (
+    _cell,
+    _check_chain,
+    _profile_columns,
+    log10_or_none,
     random_model,
     rows_to_csv,
     rows_to_json,
@@ -300,6 +313,112 @@ class TestCompareHi:
             compare_hi_scan(nu, 10)
 
 
+def assert_cells_close(got: dict, want: dict):
+    """Same keys in order, cells of the same type, floats within 1e-13 relative or 1e-15 absolute."""
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        if isinstance(value, float):
+            assert abs(got[key] - value) <= max(1e-13 * abs(value), 1e-15), key
+        else:
+            assert got[key] == value, key
+
+
+FIG3_FIELDS = ("delta", "entropy_nats", "p_star", "L", "U", "U_simpl", "L_FM", "U_FM")
+
+
+class TestSweepsMatchTheScalarPath:
+    def test_fig1_rows_are_the_scalar_envelopes(self):
+        for row in fig1_rows(5):
+            d = row["delta"]
+            assert row == {
+                "delta": d,
+                "L": lower_bound(5, d),
+                "U": upper_bound(5, d),
+                "U_simpl": upper_bound_simpl(5, d),
+            }
+
+    def test_fig2_rows_match_from_profile(self):
+        for row in fig2_rows():
+            rep = BoundsReport.from_profile(three_class_profile(row["p"], row["eps"]))
+            want = {"p": row["p"], "eps": row["eps"]}
+            for name in ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star"):
+                want[f"log10_{name}"] = log10_or_none(getattr(rep, name))
+            assert_cells_close(row, want)
+
+    def test_fig3_rows_match_from_profile(self):
+        for row in fig3_rows():
+            k, q = row["k"], row["q"]
+            if row["family"] == "binomial":
+                profile = binomial_profile(int(round(math.log2(k))), q)
+            else:
+                profile = exponential_profile(k, q)
+            rep = BoundsReport.from_profile(profile)
+            want = {"family": row["family"], "k": k, "q": q}
+            want.update((name, getattr(rep, name)) for name in FIG3_FIELDS)
+            assert_cells_close(row, want)
+
+    def test_compare_hi_rows_match_the_scalar_bounds(self):
+        scan = compare_hi_scan(2.0, 10000)
+        for row in scan.rows:
+            stats = comp_hi_stats(row["k"], 2.0)
+            U = upper_bound(row["k"], stats["delta"])
+            U_fm = upper_fm(stats["entropy_nats"])
+            want = {
+                "k": row["k"],
+                "delta": stats["delta"],
+                "entropy_nats": stats["entropy_nats"],
+                "U": U,
+                "U_FM": U_fm,
+                "U_exceeds_U_FM": U > U_fm,
+            }
+            assert_cells_close(row, want)
+
+    def test_every_cell_is_a_python_scalar(self):
+        rows = fig1_rows(5) + fig2_rows() + fig3_rows() + list(compare_hi_scan(2.0, 10000).rows)
+        kinds = {type(value) for row in rows for value in row.values()}
+        assert kinds <= {float, int, bool, str, type(None)}
+
+    @pytest.mark.parametrize(
+        "link, field, shift",
+        [
+            ("L<=p*", "L", 0.5),
+            ("p*<=U", "U", -0.5),
+            ("U<=U_simpl", "U_simpl", -0.5),
+            ("L_FM<=p*", "L_FM", 0.5),
+            ("p*<=U_FM", "U_FM", -0.5),
+        ],
+    )
+    def test_doctored_column_names_its_link_and_row(self, link, field, shift):
+        profiles = np.stack([three_class_profile(0.3, eps).a for eps in (0.01, 0.05, 0.1)])
+        columns = _profile_columns(3, profiles)
+        columns[field] = columns[field] + np.array([0.0, shift, 0.0])
+        pattern = re.escape(f"{link} violated by") + ".* at row 1$"
+        with pytest.raises(InvariantViolationError, match=pattern):
+            _check_chain(columns)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: fig1_rows(3, 1e-9),
+        lambda: fig3_rows(q_step=1e-12),
+        lambda: compare_hi_scan(2.0, 10**12),
+        lambda: fig2_rows(points=10**8),
+        lambda: fig3_rows(k_list=(2,) * 1000, q_step=5e-5),
+    ],
+)
+def test_oversized_grid_refused_before_allocating(sweep):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 class TestVerifySuites:
     def test_default_suites_all_pass(self):
         results = run_verify(seed=0, sandwich_count=500, brute_count=50)
@@ -351,6 +470,29 @@ class TestSerialization:
     def test_csv_full_float_precision(self):
         text = rows_to_csv([{"x": 1 / 3}])
         assert "0.3333333333333333" in text
+
+    def test_csv_is_the_cell_text_of_every_cell(self):
+        # mixed columns, one column of each single type, float and int subclasses,
+        # missing keys, and more rows than one formatting block
+        mixed = [None, True, False, 3, -0.0, 1 / 3, 1e-320, math.inf, "x"]
+        mixed += [np.float64(0.5), np.int64(2)]
+        rows = [
+            {
+                "mixed": mixed[i % len(mixed)],
+                "f": i / 7,
+                "i": i - 1000,
+                "b": i % 3 == 0,
+                "s": f"r{i}",
+                "none": None,
+                "np": np.float64(i / 3),
+            }
+            for i in range(2500)
+        ]
+        rows.append({"f": 1.0, "extra": 2})
+        header = ("crossover_k = 7",)
+        lines = ["# crossover_k = 7", ",".join(rows[0])]
+        lines += [",".join(_cell(row.get(col)) for col in rows[0]) for row in rows]
+        assert rows_to_csv(rows, header_comments=header) == "\n".join(lines) + "\n"
 
     def test_json_round_trip(self):
         rows = [{"a": 0.1, "b": None}]
@@ -407,6 +549,8 @@ class TestCli:
             '{"family": "exponential", "k": [3], "q": 0.3}',
             '{"family": "three_class", "p": 0.3, "eps": null}',
             '{"family": "pure", "a": [0.5, 0.5], "weights": [NaN, 1.0], "perms": [[1, 2], [2, 1]]}',
+            '{"family": "binomial", "m": true, "q": 0.3}',
+            '{"family": "comp_hi", "k": 100000000000000000000, "nu": 2}',
         ],
     )
     def test_report_malformed_family_exits_one(self, spec, capsys):
@@ -423,6 +567,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--delta-step", "1e-320"],
+            ["fig3", "--q-step", "1e-12"],
+            ["compare-hi", "--k", "1000000000000"],
+        ],
+    )
+    def test_oversized_grid_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
     def test_report_requires_exactly_one_input(self, capsys):
         assert main(["report"]) == 1

@@ -24,6 +24,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
+from misbounds.tv_bounds import envelope_columns, snapped_ceil, snapped_ceil_array
 
 
 class TestDelta:
@@ -199,6 +200,37 @@ class TestUpperBoundSimpl:
     def test_domain_enforced(self):
         with pytest.raises(OutOfRangeError):
             upper_bound_simpl(2, 1.7)
+
+
+class TestEnvelopeColumns:
+    def test_snapped_ceil_array_matches_snapped_ceil(self):
+        x = np.array([0.0, 1e-10, 1 - 1e-10, 1 + 1e-10, 1 + 1e-8, 2.5, 3 - 2e-9, 1e20])
+        assert snapped_ceil_array(x).tolist() == [snapped_ceil(v) for v in x.tolist()]
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_columns_equal_the_scalar_envelopes(self, k):
+        ends = [k - 1 + 1e-10, -1e-10]
+        d = np.concatenate([np.linspace(0, k - 1, 97), np.arange(k) + 1e-10, ends])
+        columns = envelope_columns(k, d)
+        for i, x in enumerate(d.tolist()):
+            assert columns["delta"][i] == min(max(x, 0.0), k - 1.0)
+            assert columns["L"][i] == lower_bound(k, x)
+            assert columns["U"][i] == upper_bound(k, x)
+            assert columns["U_simpl"][i] == upper_bound_simpl(k, x)
+
+    def test_one_class_count_per_entry(self):
+        ks = np.array([2, 5, 9])
+        columns = envelope_columns(ks, np.array([0.5, 3.25, 8.0]))
+        want = [upper_bound(2, 0.5), upper_bound(5, 3.25), upper_bound(9, 8.0)]
+        assert columns["U"].tolist() == want
+
+    def test_refuses_what_the_scalar_envelopes_refuse(self):
+        with pytest.raises(OutOfRangeError, match="delta=nan"):
+            envelope_columns(3, np.array([0.5, math.nan]))
+        with pytest.raises(OutOfRangeError):
+            envelope_columns(np.array([3, 2]), np.array([2.0, 2.0]))
+        with pytest.raises(TooFewClassesError):
+            envelope_columns(np.array([3, 1]), np.array([0.0, 0.0]))
 
 
 class TestExtremalProfiles:
