@@ -8,7 +8,6 @@ full joint model whose columns all share one profile up to relabeling.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 
 import numpy as np
@@ -20,7 +19,7 @@ from .errors import (
     OutOfDomainError,
     TooLargeError,
 )
-from .model import MASS_TOL, JointModel, PosteriorProfile, clamp, validate_profile
+from .model import MASS_TOL, JointModel, PosteriorProfile, clamp, integer, validate_profile
 
 PROFILE_SIZE_LIMIT = 10**7
 
@@ -142,12 +141,21 @@ def comp_lo_profile(k: int, ell: int) -> PosteriorProfile:
     return PosteriorProfile(a=a)
 
 
-def comp_hi_profile(k: int, nu: float) -> PosteriorProfile:
-    """One dominant entry 1-(nu-1)/k over a flat tail; separation k - nu."""
+def _require_comp_hi_params(k, nu: float) -> None:
+    """nu > 1, and k an integer, or an integer array, above nu (so never a boolean)."""
     if not nu > 1.0:
         raise BadParamError(f"nu={nu!r} must exceed 1")
-    if not (isinstance(k, (int, np.integer)) and k > nu):
+    if isinstance(k, np.ndarray):
+        integral = k.dtype.kind in "iu"
+    else:
+        integral = isinstance(k, (int, np.integer))
+    if not (integral and np.all(k > nu)):
         raise BadParamError(f"k={k!r} must be an integer > nu={nu}")
+
+
+def comp_hi_profile(k: int, nu: float) -> PosteriorProfile:
+    """One dominant entry 1-(nu-1)/k over a flat tail; separation k - nu."""
+    _require_comp_hi_params(k, nu)
     _require_profile_size(k)
     a = np.full(k, (nu - 1.0) / (k * (k - 1.0)))
     a[0] = 1.0 - (nu - 1.0) / k
@@ -161,11 +169,8 @@ def comp_hi_stats(k, nu: float) -> dict:
     cheap; values match the constructed profile to float accuracy.  k is one
     class count, giving floats, or an integer array of them, giving arrays.
     """
-    if not nu > 1.0:
-        raise BadParamError(f"nu={nu!r} must exceed 1")
+    _require_comp_hi_params(k, nu)
     kf = np.asarray(k, dtype=float)
-    if not np.all(kf > nu):
-        raise BadParamError(f"k={k!r} must exceed nu={nu}")
     top = 1.0 - (nu - 1.0) / kf
     tail = (nu - 1.0) / (kf * (kf - 1.0))
     # 0 ln 0 = 0, for an entry that underflows at huge k
@@ -193,26 +198,19 @@ def _reals(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _integer(value) -> int:
-    """operator.index, which refuses 3.9, "3" and [3], and refuses true and false too."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return operator.index(value)
-
-
 def _integer_rows(value) -> list:
-    return [[_integer(label) for label in row] for row in value]
+    return [[integer(label) for label in row] for row in value]
 
 
 # family -> (constructor, {parameter: conversion}), parameters in argument order;
 # the conversions refuse values of the wrong type instead of coercing them.
 FAMILIES = {
     "pure": (pure_model, {"a": validate_profile, "weights": _reals, "perms": _integer_rows}),
-    "binomial": (binomial_profile, {"m": _integer, "q": float}),
-    "exponential": (exponential_profile, {"k": _integer, "q": float}),
+    "binomial": (binomial_profile, {"m": integer, "q": float}),
+    "exponential": (exponential_profile, {"k": integer, "q": float}),
     "three_class": (three_class_profile, {"p": float, "eps": float}),
-    "comp_lo": (comp_lo_profile, {"k": _integer, "ell": _integer}),
-    "comp_hi": (comp_hi_profile, {"k": _integer, "nu": float}),
+    "comp_lo": (comp_lo_profile, {"k": integer, "ell": integer}),
+    "comp_hi": (comp_hi_profile, {"k": integer, "nu": float}),
 }
 
 

@@ -9,6 +9,7 @@ observation.  Everything here is immutable and purely functional.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +72,13 @@ def require_classes(k: int) -> None:
     """Refuse a class count below two, the smallest with a decision to make."""
     if k < 2:
         raise TooFewClassesError(f"need at least 2 classes, got k={k}")
+
+
+def integer(value) -> int:
+    """operator.index, which refuses 3.9, "3" and [3], and refuses true and false too."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def clamp(value: float, lo: float, hi: float, slack: float, error: type, name: str) -> float:

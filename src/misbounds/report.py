@@ -405,8 +405,8 @@ def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
     }
 
 
-def verify_oracle(pairs=((2, 50), (3, 30), (4, 15))) -> dict:
-    """Exact-rational simplex grids; zero violations required."""
+def verify_oracle(pairs=((2, 50), (3, 30), (4, 15), (5, 20), (6, 12))) -> dict:
+    """Exact simplex grids, checked in integers; zero violations required."""
     reports = [simplex_grid_oracle(k, N) for k, N in pairs]
     return {
         "suite": "oracle",

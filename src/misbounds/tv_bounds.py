@@ -4,9 +4,10 @@ The separation statistic Delta sums the total variation distances over all
 label pairs of the joint sub-measures; it ranges from 0 (indistinguishable
 classes) to k-1 (pairwise disjoint supports).  The Bayes error is pinned
 between an affine lower bound L and a piecewise-linear upper bound U of
-Delta, and both are attained by explicit posterior profiles.  A rational
-brute-force oracle certifies attainment and strictness on simplex grids
-without any float tolerance.
+Delta, and both are attained by explicit posterior profiles.  An exhaustive
+oracle certifies the chain, attainment and strictness on simplex grids i/N
+as signs of cross-multiplied integers, with no float tolerance; Fractions
+appear only in the violations it reports.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRangeError, TooLargeError
-from .model import JointModel, PosteriorProfile, clamp, clamp_array, require_classes
+from .errors import BadParamError, OutOfRangeError, TooLargeError
+from .model import JointModel, PosteriorProfile, clamp, clamp_array, integer, require_classes
 
 # Ceil is discontinuous, so a value that lands on an integer up to
 # representation error (a separation of 2.0000000000000004, or exp(H) at an
@@ -166,7 +168,7 @@ def extremal_high_profile(k: int, d: float) -> PosteriorProfile:
     return PosteriorProfile(a=a)
 
 
-# --- exact-rational grid oracle --------------------------------------------
+# --- exact integer grid oracle ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -218,38 +220,77 @@ def _compositions(total: int, parts: int):
         yield tuple(out)
 
 
-def _rational_bounds(k: int, d: Fraction):
-    L = 1 - Fraction(1 + d, k)
-    m = math.ceil(d)
-    U = 1 - Fraction(k + 1 + d - 2 * m, (k - m) * (k + 1 - m))
-    U_simpl = 1 - 1 / Fraction(k - d)
-    return L, U, U_simpl, m
+def _upper_segments(k: int, N: int) -> list:
+    """(P, T - D) for each ceiling m = 0..k-1 of the separation, scaled by N.
+
+    On segment m, U = 1 - T/(N P) with P = (k-m)(k+1-m) and
+    T = N(k+1-2m) + D, where D = N*delta.
+    """
+    return [((k - m) * (k + 1 - m), N * (k + 1 - 2 * m)) for m in range(k)]
 
 
-def _rational_low_profile(k: int, d: Fraction) -> tuple:
-    tail = Fraction(k - 1 - d, k * (k - 1))
-    prof = (Fraction(1 + d, k),) + (tail,) * (k - 1)
-    return tuple(sorted(prof, reverse=True))
+def _scaled_low_profile(k: int, N: int, D: int):
+    """N times the low extremal profile, sorted descending, or None if not integral.
+
+    One entry (N + D)/k, then k - 1 entries (kN - N - D)/(k(k-1)).
+    """
+    head, head_rest = divmod(N + D, k)
+    tail, tail_rest = divmod(k * N - N - D, k * (k - 1))
+    return None if head_rest or tail_rest else [head] + [tail] * (k - 1)
 
 
-def _rational_high_profile(k: int, d: Fraction) -> tuple:
-    m = math.ceil(d)
-    top = Fraction(k + 1 + d - 2 * m, (k - m) * (k + 1 - m))
-    prof = [top] * (k - m) + [Fraction(0)] * m
-    if m >= 1:
-        prof[k - m] = Fraction(m - d, k + 1 - m)
-    return tuple(sorted(prof, reverse=True))
+def _scaled_high_profile(k: int, N: int, D: int, m: int, P: int, T: int):
+    """N times the high extremal profile, sorted descending, or None if not integral.
+
+    k - m entries T/P, then (if m >= 1) one entry (mN - D)/(k+1-m) and m - 1 zeros.
+    """
+    top, top_rest = divmod(T, P)
+    if m == 0:
+        return None if top_rest else [top] * k
+    rem, rem_rest = divmod(m * N - D, k + 1 - m)
+    return None if top_rest or rem_rest else [top] * (k - m) + [rem] + [0] * (m - 1)
+
+
+def _violations(comp: tuple, k: int, N: int, D: int, P: int, T: int, sides: list) -> list:
+    """The recorded (profile, delta, value, bound, side) of each failed check, in Fractions."""
+    d = Fraction(D, N)
+    value = Fraction(N - max(comp), N)
+    L = Fraction(k * N - N - D, k * N)
+    U = Fraction(N * P - T, N * P)
+    U_simpl = Fraction(k * N - D - N, k * N - D)
+    compared = {
+        "below_lower": (value, L),
+        "above_upper": (value, U),
+        "upper_chain": (U, U_simpl),
+        "integer_tie": (U, U_simpl),
+        "strictness": (U, U_simpl),
+        "low_iff": (value, L),
+        "high_iff": (value, U),
+    }
+    return [(comp, d, *compared[side], side) for side in sides]
+
+
+def _grid_integer(name: str, value) -> int:
+    """value as a Python int, so grid arithmetic never runs in fixed-width numpy integers."""
+    try:
+        return integer(value)
+    except TypeError as exc:
+        raise BadParamError(f"{name}={value!r} must be an integer") from exc
 
 
 def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     """Certify the bound chain and its equality cases on the whole i/N grid.
 
-    Every profile with entries i/N is evaluated in exact rational arithmetic:
+    Every profile a = c/N with an integer composition c is checked exactly:
     the chain L <= 1 - max <= U <= U_simpl must hold, U must tie U_simpl
     exactly at integer delta and beat it strictly otherwise, and equality at
     either end must occur precisely when the profile is a permutation of the
-    matching extremal profile.
+    matching extremal profile.  Sorting c descending gives
+    D = N*delta = sum_i (k+1-2i) c_(i), and every check is the sign of a
+    cross-multiplied integer; Fractions are built only to record a violation.
     """
+    k = _grid_integer("k", k)
+    N = _grid_integer("N", N)
     require_classes(k)
     if N < 1:
         raise OutOfRangeError(f"grid resolution N={N} must be >= 1")
@@ -257,37 +298,49 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     if count > GRID_LIMIT:
         raise TooLargeError(f"C({N + k - 1},{k - 1}) = {count} profiles exceeds {GRID_LIMIT}")
 
+    ranks = range(k - 1, -k, -2)
+    segments = _upper_segments(k, N)
     checked = 0
     low_eq = 0
     high_eq = 0
     violations = []
     for comp in _compositions(N, k):
-        a = tuple(Fraction(c, N) for c in comp)
-        d = sum(abs(a[i] - a[j]) for i in range(k) for j in range(i + 1, k))
-        value = 1 - max(a)
-        L, U, U_simpl, m = _rational_bounds(k, d)
-
-        if not L <= value:
-            violations.append((comp, d, value, L, "below_lower"))
-        if not value <= U:
-            violations.append((comp, d, value, U, "above_upper"))
-        if not U <= U_simpl:
-            violations.append((comp, d, U, U_simpl, "upper_chain"))
-        if d == m and U != U_simpl:
-            violations.append((comp, d, U, U_simpl, "integer_tie"))
-        if d != m and not U < U_simpl:
-            violations.append((comp, d, U, U_simpl, "strictness"))
-
-        sorted_desc = tuple(sorted(a, reverse=True))
-        at_low = value == L
-        at_high = value == U
-        if at_low != (sorted_desc == _rational_low_profile(k, d)):
-            violations.append((comp, d, value, L, "low_iff"))
-        if at_high != (sorted_desc == _rational_high_profile(k, d)):
-            violations.append((comp, d, value, U, "high_iff"))
-        low_eq += at_low
-        high_eq += at_high
+        c = sorted(comp, reverse=True)
+        D = sum(map(operator.mul, ranks, c))
+        m = -(-D // N)
+        P, T = segments[m]
+        T += D
+        low_gap = N + D - k * c[0]  # kN (p* - L)
+        high_gap = c[0] * P - T  # NP (U - p*)
+        simpl_gap = T * (k * N - D) - N * N * P  # NP (kN - D) (U_simpl - U)
+        tie = D == m * N
         checked += 1
+        if low_gap > 0 and high_gap > 0 and simpl_gap > 0 and not tie:
+            continue
+
+        sides = []
+        if low_gap < 0:
+            sides.append("below_lower")
+        if high_gap < 0:
+            sides.append("above_upper")
+        if simpl_gap < 0:
+            sides.append("upper_chain")
+        if tie and simpl_gap != 0:
+            sides.append("integer_tie")
+        if not tie and simpl_gap <= 0:
+            sides.append("strictness")
+        # An extremal profile's largest entry is the complement of its bound,
+        # so it can match only where equality holds; compare it there.
+        if low_gap == 0:
+            low_eq += 1
+            if c != _scaled_low_profile(k, N, D):
+                sides.append("low_iff")
+        if high_gap == 0:
+            high_eq += 1
+            if c != _scaled_high_profile(k, N, D, m, P, T):
+                sides.append("high_iff")
+        if sides:
+            violations.extend(_violations(comp, k, N, D, P, T, sides))
 
     violations.sort(key=lambda v: v[0])
     return OracleReport(

@@ -295,6 +295,17 @@ class TestCompHiProfile:
         with pytest.raises(BadParamError):
             comp_hi_stats(np.arange(2, 10), 2.5)
 
+    @pytest.mark.parametrize("k", [3.5, 4.0, True, np.float64(4.0), np.arange(3.0, 9.0)])
+    def test_stats_refuse_a_non_integer_class_count(self, k):
+        with pytest.raises(BadParamError, match="must be an integer"):
+            comp_hi_stats(k, 2.0)
+
+    def test_stats_take_numpy_integers(self):
+        assert comp_hi_stats(np.int32(7), 2.0) == comp_hi_stats(7, 2.0)
+        assert comp_hi_stats(np.arange(3, 9, dtype=np.uint16), 2.0)["delta"].tolist() == [
+            1.0, 2.0, 3.0, 4.0, 5.0, 6.0
+        ]
+
     def test_parameter_validation(self):
         with pytest.raises(BadParamError):
             comp_hi_profile(5, 1.0)

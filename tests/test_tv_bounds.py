@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misbounds import (
+    BadParamError,
     OutOfRangeError,
     TooFewClassesError,
     TooLargeError,
@@ -301,6 +302,16 @@ class TestSimplexGridOracle:
     def test_guard_rejects_oversized_grid(self):
         with pytest.raises(TooLargeError):
             simplex_grid_oracle(6, 500)
+
+    @pytest.mark.parametrize("k, N", [(3, 2.5), (3.0, 4), (3, True), (True, 4), ("3", 4)])
+    def test_refuses_non_integer_arguments(self, k, N):
+        with pytest.raises(BadParamError, match="must be an integer"):
+            simplex_grid_oracle(k, N)
+
+    def test_numpy_integers_become_python_ints(self):
+        r = simplex_grid_oracle(np.int64(4), np.uint8(15))
+        assert type(r.k) is int and type(r.N) is int
+        assert r == simplex_grid_oracle(4, 15)
 
     def test_report_serializes_to_json(self):
         r = simplex_grid_oracle(3, 6)
