@@ -173,7 +173,7 @@ def extremal_high_profile(k: int, d: float) -> PosteriorProfile:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of an exhaustive rational check of one simplex grid."""
+    """Outcome of an exhaustive exact check of one simplex grid."""
 
     k: int
     N: int

@@ -85,7 +85,7 @@ def test_2_extremal_profiles_reproduce_their_targets():
 
 
 def test_3_rational_oracle_zero_violations():
-    """Exhaustive exact-rational grids, equality iff extremal, under 120 s."""
+    """Exhaustive exact grids up to k = 6, equality iff extremal, under 120 s."""
     start = time.perf_counter()
     grids = ((2, 50), (3, 30), (4, 15), (5, 20), (6, 12))
     reports = [simplex_grid_oracle(k, N) for k, N in grids]
