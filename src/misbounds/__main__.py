@@ -1,0 +1,8 @@
+"""python -m misbounds: the command-line interface, for a checkout that is not installed."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,12 +18,14 @@ from .report import (
     BoundsReport,
     compare_hi_scan,
     compare_lo_rows,
-    fig1_rows,
-    fig2_rows,
-    fig3_rows,
+    fig1_table,
+    fig2_table,
+    fig3_table,
     rows_to_csv,
     rows_to_json,
     run_verify,
+    table_rows,
+    table_to_csv,
     FIG2_DEFAULT_P,
     FIG3_DEFAULT_K,
     VERIFY_SUITES,
@@ -99,6 +101,13 @@ def _rows(rows: list, args) -> tuple:
     return (rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)), EXIT_OK
 
 
+def _table(table: dict, args) -> tuple:
+    """A column table as CSV, or as JSON dict rows."""
+    if args.format == "csv":
+        return table_to_csv(table), EXIT_OK
+    return rows_to_json(table_rows(table)), EXIT_OK
+
+
 def _cmd_report(args) -> tuple:
     if (args.model is None) == (args.family is None):
         raise MisboundsError("provide exactly one of a model file or --family")
@@ -120,7 +129,7 @@ def _cmd_compare_hi(args) -> tuple:
     if args.format == "json":
         return json.dumps(scan.as_dict(), indent=2) + "\n", EXIT_OK
     comment = f"crossover_k = {scan.crossover_k if scan.crossover_k is not None else 'none'}"
-    return rows_to_csv(list(scan.rows), header_comments=(comment,)), EXIT_OK
+    return table_to_csv(scan.table, header_comments=(comment,)), EXIT_OK
 
 
 def _cmd_verify(args) -> tuple:
@@ -146,9 +155,9 @@ def _cmd_verify(args) -> tuple:
 # subcommand -> handler returning (output text, exit code)
 COMMANDS = {
     "report": _cmd_report,
-    "fig1": lambda args: _rows(fig1_rows(args.k, delta_step=args.delta_step), args),
-    "fig2": lambda args: _rows(fig2_rows(p_list=args.p), args),
-    "fig3": lambda args: _rows(fig3_rows(k_list=args.k, q_step=args.q_step), args),
+    "fig1": lambda args: _table(fig1_table(args.k, delta_step=args.delta_step), args),
+    "fig2": lambda args: _table(fig2_table(p_list=args.p), args),
+    "fig3": lambda args: _table(fig3_table(k_list=args.k, q_step=args.q_step), args),
     "compare-lo": lambda args: _rows(compare_lo_rows(k_max=args.k), args),
     "compare-hi": _cmd_compare_hi,
     "verify": _cmd_verify,

@@ -3,6 +3,13 @@
 Each constructor returns a posterior profile (sorted nonincreasing; every
 downstream statistic is permutation-invariant) or, for the pure family, a
 full joint model whose columns all share one profile up to relabeling.
+
+The binomial, exponential and three-class families are written once, as
+batched constructors (``binomial_profiles``, ``exponential_profiles``,
+``three_class_profiles``) that return a (B, k) stack with one profile per
+parameter; the figure sweeps build one stack per grid.  Each scalar
+constructor is the B = 1 row of its stack, with the same guards, so a row
+of a stack equals the scalar profile bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .errors import (
     OutOfDomainError,
     TooLargeError,
 )
-from .model import MASS_TOL, JointModel, PosteriorProfile, clamp, integer, validate_profile
+from .model import MASS_TOL, JointModel, PosteriorProfile, clamp_array, integer, validate_profile
 
 PROFILE_SIZE_LIMIT = 10**7
 
@@ -60,58 +67,127 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     return JointModel(w=w)
 
 
-def binomial_profile(m: int, q: float) -> PosteriorProfile:
-    """Profile of length 2^m: values (1-q)^j q^(m-j), each with multiplicity C(m, j)."""
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise BadParamError(f"m={m!r} must be an integer >= 1")
-    if not 0.0 < q < 1.0:
-        raise BadParamError(f"q={q!r} must lie in (0, 1)")
+def _integer_at_least(value, name: str, least: int) -> int:
+    """value as a Python int of at least `least`; a bool, a float or a string is refused."""
+    try:
+        number = integer(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise BadParamError(f"{name}={value!r} must be an integer >= {least}")
+    return number
+
+
+def _open_unit(qs) -> np.ndarray:
+    """The sequence qs as a float vector; the first entry outside (0, 1), NaN included, is refused."""
+    for q in qs:
+        if not 0.0 < q < 1.0:
+            raise BadParamError(f"q={q!r} must lie in (0, 1)")
+    return np.array(qs, dtype=float)
+
+
+def _descending(a: np.ndarray) -> np.ndarray:
+    """Each row of a stack sorted nonincreasing, as a new C-contiguous stack; sorts a in place."""
+    a.sort(axis=1)
+    return np.ascontiguousarray(a[:, ::-1])
+
+
+def binomial_profiles(m: int, qs) -> np.ndarray:
+    """(B, 2^m) stack of binomial profiles, one row per q in the sequence qs."""
+    m = _integer_at_least(m, "m", 1)
+    q = _open_unit(qs)[:, None]
     if 2**m > PROFILE_SIZE_LIMIT:
         raise TooLargeError(f"2^{m} entries exceeds limit {PROFILE_SIZE_LIMIT}")
     j = np.arange(m + 1)
     values = (1.0 - q) ** j * q ** (m - j)
     counts = [math.comb(m, int(jj)) for jj in j]
-    a = np.repeat(values, counts)
-    return PosteriorProfile(a=np.sort(a)[::-1].copy())
+    return _descending(np.repeat(values, counts, axis=1))
+
+
+def binomial_profile(m: int, q: float) -> PosteriorProfile:
+    """Profile of length 2^m: values (1-q)^j q^(m-j), each with multiplicity C(m, j).
+
+    One row of binomial_profiles.
+    """
+    return PosteriorProfile(a=binomial_profiles(m, [q])[0])
+
+
+def _geometric_sum(k: int, q: float, terms: np.ndarray) -> float:
+    """sum_i (1-q)^(i-1) q^(k-i) for i = 1..k, given those k terms.
+
+    The closed form ((1-q)^k - q^k) / (1-2q) subtracts two nearly equal k-th
+    powers as q nears 1/2, so the direct sum stands inside |1-2q| < 1e-4.
+    It is evaluated with math's pow: numpy's vector pow may round differently.
+    """
+    if q == 0.5:
+        return k * 2.0 ** (1 - k)
+    if abs(1.0 - 2.0 * q) >= 1e-4:
+        return ((1.0 - q) ** k - q**k) / (1.0 - 2.0 * q)
+    return float(terms.sum())
+
+
+def _raw_terms(q: np.ndarray, lead: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Rows (1-q)^(i-1) q^(k-i), one per entry of q, from the exponents lead = i-1, tail = k-i."""
+    q = q[:, None]
+    return (1.0 - q) ** lead * q**tail
+
+
+def exponential_profiles(k: int, qs) -> np.ndarray:
+    """(B, k) stack of exponential profiles, one row per q in the sequence qs.
+
+    A row holds the raw terms (1-q)^(i-1) q^(k-i) over their _geometric_sum,
+    except a row whose every raw term underflows: it holds the terms in a
+    shifted scale, exp(log term - largest log term), over their sum.  The
+    per-q logarithms come from the math module, as _geometric_sum's powers do.
+    """
+    k = _integer_at_least(k, "k", 2)
+    q = _open_unit(qs)
+    _require_profile_size(k)
+    i = np.arange(1, k + 1, dtype=float)
+    lead, tail = i - 1.0, k - i
+    q_values = q.tolist()
+    logs = [(math.log1p(-x), math.log(x)) for x in q_values]
+    # a row's largest log term is at least its larger end term, (k-1) max(log(1-q), log q),
+    # so no row can underflow throughout while every end term is at least -690
+    if all((k - 1) * max(pair) >= -690.0 for pair in logs):
+        a = _raw_terms(q, lead, tail)
+        low = [False] * len(q_values)
+    else:
+        pairs = np.array(logs)
+        log_terms = lead * pairs[:, :1] + tail * pairs[:, 1:]
+        top = log_terms.max(axis=1, keepdims=True)
+        low = (top[:, 0] < -690.0).tolist()
+        a = np.exp(log_terms - top)
+        if not all(low):
+            raw = ~np.array(low)
+            a[raw] = _raw_terms(q[raw], lead, tail)
+    sums = [
+        row.sum() if shifted else _geometric_sum(k, x, row)
+        for x, row, shifted in zip(q_values, a, low)
+    ]
+    a /= np.array(sums)[:, None]
+    return _descending(a)
 
 
 def exponential_profile(k: int, q: float) -> PosteriorProfile:
-    """Profile a_i proportional to (1-q)^(i-1) q^(k-i), i = 1..k.
+    """Profile a_i proportional to (1-q)^(i-1) q^(k-i), i = 1..k: one row of exponential_profiles."""
+    return PosteriorProfile(a=exponential_profiles(k, [q])[0])
 
-    The geometric-sum normalizer has the closed form
-    ((1-q)^k - q^k) / (1-2q), but subtracting two nearly equal k-th powers
-    loses most significant digits as q approaches 1/2, so a direct k-term
-    sum takes over inside |1-2q| < 1e-4.
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise BadParamError(f"k={k!r} must be an integer >= 2")
-    if not 0.0 < q < 1.0:
-        raise BadParamError(f"q={q!r} must lie in (0, 1)")
-    _require_profile_size(k)
-    i = np.arange(1, k + 1, dtype=float)
-    log_terms = (i - 1.0) * math.log1p(-q) + (k - i) * math.log(q)
-    if float(log_terms.max()) < -690.0:
-        # every raw term underflows; normalize in a shifted scale instead
-        scaled = np.exp(log_terms - log_terms.max())
-        a = scaled / scaled.sum()
-    else:
-        terms = (1.0 - q) ** (i - 1.0) * q ** (k - i)
-        if q == 0.5:
-            c = k * 2.0 ** (1 - k)
-        elif abs(1.0 - 2.0 * q) >= 1e-4:
-            c = ((1.0 - q) ** k - q**k) / (1.0 - 2.0 * q)
-        else:
-            c = float(terms.sum())
-        a = terms / c
-    return PosteriorProfile(a=np.sort(a)[::-1].copy())
+
+def three_class_profiles(p, eps) -> np.ndarray:
+    """(B, 3) stack of three-class profiles, one row per pair of equal-length sequences p, eps."""
+    slack = 1e-12
+    p = clamp_array(p, 0.0, 2.0 / 3.0, slack, OutOfDomainError, "p")
+    eps = clamp_array(eps, np.maximum(2.0 * p - 1.0, 0.0), p / 2.0, slack, OutOfDomainError, "eps")
+    return np.stack([1.0 - p, p - eps, eps], axis=-1)
 
 
 def three_class_profile(p: float, eps: float) -> PosteriorProfile:
-    """Three-class profile (1-p, p-eps, eps); its pure model has Bayes error p."""
-    slack = 1e-12
-    p = clamp(p, 0.0, 2.0 / 3.0, slack, OutOfDomainError, "p")
-    eps = clamp(eps, max(2.0 * p - 1.0, 0.0), p / 2.0, slack, OutOfDomainError, "eps")
-    return PosteriorProfile(a=np.array([1.0 - p, p - eps, eps]))
+    """Three-class profile (1-p, p-eps, eps); its pure model has Bayes error p.
+
+    One row of three_class_profiles.
+    """
+    return PosteriorProfile(a=three_class_profiles([p], [eps])[0])
 
 
 def comp_lo_guaranteed(k: int) -> set:

@@ -94,9 +94,10 @@ def clamp_array(values, lo, hi, slack: float, error: type, name: str) -> np.ndar
     The first entry that is NaN or beyond `slack` raises as clamp raises on it.
     Entries are clamped with clamp's comparisons, so a -0.0 stays -0.0.
     """
-    values, lo, hi = np.broadcast_arrays(np.asarray(values, dtype=float), lo, hi)
+    values = np.asarray(values, dtype=float)
     inside = (lo - slack <= values) & (values <= hi + slack)
     if not inside.all():
+        inside, values, lo, hi = np.broadcast_arrays(inside, values, lo, hi)
         i = np.unravel_index(np.argmin(inside), inside.shape)
         clamp(float(values[i]), float(lo[i]), float(hi[i]), slack, error, name)
     raised = np.where(lo > values, lo, values)

@@ -5,6 +5,14 @@ duty: no row leaves this layer unless the sandwich chains hold on it, so a
 CSV produced by the CLI is itself a certificate.  The chains are defined
 once, as ``BoundsReport.slacks``, which both the report's own check and the
 sandwich verify suite iterate.
+
+The sweeps run as columns from parameters to text: ``fig1_table``,
+``fig2_table``, ``fig3_table`` and ``compare_hi_scan`` return column tables
+(column name -> equal-length list of Python scalars), and ``table_to_csv``
+renders any such table as CSV a block of rows at a time.  Dict rows are
+built only on request, by ``table_rows`` (the ``*_rows`` functions and
+``CompareHiScan.rows``); ``rows_to_csv`` turns dict rows into a table for
+the same writer, so the CSV cell rules exist once.
 """
 
 from __future__ import annotations
@@ -30,11 +38,11 @@ from .entropy import (
 from .errors import BadParamError, InvariantViolationError, TooLargeError
 from .families import (
     PROFILE_SIZE_LIMIT,
-    binomial_profile,
+    binomial_profiles,
     comp_hi_stats,
     comp_lo_guaranteed,
-    exponential_profile,
-    three_class_profile,
+    exponential_profiles,
+    three_class_profiles,
 )
 from .model import JointModel, PosteriorProfile, validate_joint
 from .tv_bounds import (
@@ -176,10 +184,9 @@ def _profile_columns(k: int, profiles: np.ndarray) -> dict:
     return columns
 
 
-def _rows(columns: dict) -> list:
-    """Dict rows, in column order, from equal-length columns; cells are Python scalars."""
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
+def table_rows(table: dict) -> list:
+    """Dict rows, in column order, of a column table."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
 def _require_rows(count, what: str) -> None:
@@ -199,8 +206,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.append(pts, hi)
 
 
-def fig1_rows(k: int, delta_step: float = 0.01) -> list:
-    """Bound curves (L, U, U_simpl) over the full separation range [0, k-1]."""
+def fig1_table(k: int, delta_step: float = 0.01) -> dict:
+    """Bound curves (L, U, U_simpl) over the full separation range [0, k-1], as a column table."""
     if not 0.0 < delta_step < math.inf:
         raise BadParamError(f"delta_step={delta_step!r} must be positive and finite")
     columns = envelope_columns(k, _grid(0.0, float(k - 1), delta_step))
@@ -210,7 +217,12 @@ def fig1_rows(k: int, delta_step: float = 0.01) -> list:
         raise InvariantViolationError(
             f"bound chain broken at delta={float(columns['delta'][np.argmax(broken)])}"
         )
-    return _rows(columns)
+    return {name: column.tolist() for name, column in columns.items()}
+
+
+def fig1_rows(k: int, delta_step: float = 0.01) -> list:
+    """fig1_table as dict rows."""
+    return table_rows(fig1_table(k, delta_step))
 
 
 FIG2_DEFAULT_P = (0.01, 0.1, 0.3, 0.5, 0.6, 0.64)
@@ -218,8 +230,8 @@ FIG2_POINTS = 101
 FIG2_LOG_COLUMNS = ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star")
 
 
-def fig2_rows(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> list:
-    """Three-class log-scale sweep: for each target error p, scan feasible eps."""
+def fig2_table(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> dict:
+    """Three-class log-scale sweep as a column table: for each target error p, scan feasible eps."""
     if points < 1:
         raise BadParamError(f"points={points!r} must be >= 1")
     p_list = list(p_list)
@@ -235,46 +247,57 @@ def fig2_rows(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> list:
             eps_grid = np.linspace(lo, hi, points).tolist()
         p_column += [float(p)] * len(eps_grid)
         eps_column += eps_grid
-    if not p_column:
-        return []
-    profiles = np.stack([three_class_profile(p, eps).a for p, eps in zip(p_column, eps_column)])
-    columns = _profile_columns(3, profiles)
+    columns = _profile_columns(3, three_class_profiles(p_column, eps_column))
     logs = {
         f"log10_{name}": [log10_or_none(v) for v in columns[name].tolist()]
         for name in FIG2_LOG_COLUMNS
     }
-    return _rows({"p": p_column, "eps": eps_column, **logs})
+    return {"p": p_column, "eps": eps_column, **logs}
+
+
+def fig2_rows(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> list:
+    """fig2_table as dict rows."""
+    return table_rows(fig2_table(p_list, points))
 
 
 FIG3_DEFAULT_K = (2, 4, 8)
 FIG3_COLUMNS = ("delta", "entropy_nats", "p_star", "L", "U", "U_simpl", "L_FM", "U_FM")
 
 
-def fig3_rows(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> list:
-    """Binomial and geometric-profile bound sweeps over q in (0, 1/2]."""
+def fig3_table(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> dict:
+    """Binomial and geometric-profile bound sweeps over q in (0, 1/2], as a column table."""
     if not 0.0 < q_step <= 0.5:
         raise BadParamError(f"q_step={q_step!r} must lie in (0, 0.5]")
     q_grid = _grid(q_step, 0.5, q_step).tolist()
     k_list = list(k_list)
     _require_rows(2 * len(k_list) * len(q_grid), f"{len(k_list)} class counts at {len(q_grid)} q")
-    rows = []
+    table = {name: [] for name in ("family", "k", "q", *FIG3_COLUMNS)}
     for family in ("binomial", "exponential"):
         for k in k_list:
+            k = int(k)
             if family == "binomial":
                 m = int(round(math.log2(k)))
                 if 2**m != k:
                     raise BadParamError(f"binomial family needs k a power of 2, got {k}")
-                build = functools.partial(binomial_profile, m)
+                stack = functools.partial(binomial_profiles, m)
             else:
-                build = functools.partial(exponential_profile, int(k))
+                stack = functools.partial(exponential_profiles, k)
             # stacks of at most PROFILE_SIZE_LIMIT entries keep memory linear in k
-            chunk = max(1, PROFILE_SIZE_LIMIT // int(k))
+            chunk = max(1, PROFILE_SIZE_LIMIT // k)
             for start in range(0, len(q_grid), chunk):
                 qs = q_grid[start : start + chunk]
-                columns = _profile_columns(int(k), np.stack([build(q).a for q in qs]))
-                fixed = {"family": [family] * len(qs), "k": [int(k)] * len(qs), "q": qs}
-                rows += _rows({**fixed, **{key: columns[key] for key in FIG3_COLUMNS}})
-    return rows
+                columns = _profile_columns(k, stack(qs))
+                table["family"] += [family] * len(qs)
+                table["k"] += [k] * len(qs)
+                table["q"] += qs
+                for name in FIG3_COLUMNS:
+                    table[name] += columns[name].tolist()
+    return table
+
+
+def fig3_rows(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> list:
+    """fig3_table as dict rows."""
+    return table_rows(fig3_table(k_list, q_step))
 
 
 # --- comparison scans -------------------------------------------------------
@@ -294,6 +317,9 @@ def compare_lo_rows(k_max: int = 50, k_min: int = 3) -> list:
     """Margins d_k(ell) over every guaranteed (k, ell); all must be positive."""
     if k_min < 3 or k_max < k_min:
         raise BadParamError(f"need 3 <= k_min <= k_max, got {k_min}..{k_max}")
+    # comp_lo_guaranteed gives three support sizes for every k >= 10
+    extra = sum(len(comp_lo_guaranteed(k)) - 3 for k in range(k_min, min(k_max, 9) + 1))
+    _require_rows(3 * (k_max - k_min + 1) + extra, f"k = {k_min}..{k_max}")
     rows = []
     for k in range(k_min, k_max + 1):
         for ell in sorted(comp_lo_guaranteed(k)):
@@ -313,12 +339,20 @@ def compare_lo_rows(k_max: int = 50, k_min: int = 3) -> list:
 
 @dataclass(frozen=True)
 class CompareHiScan:
-    """Scan of the dominant-entry family for where U(delta) beats U_FM(H)."""
+    """Scan of the dominant-entry family for where U(delta) beats U_FM(H).
+
+    ``table`` holds the scanned rows as a column table.
+    """
 
     nu: float
     k_max: int
     crossover_k: int | None
-    rows: tuple
+    table: dict
+
+    @property
+    def rows(self) -> tuple:
+        """The table's rows as dicts, built on each request."""
+        return tuple(table_rows(self.table))
 
     def as_dict(self) -> dict:
         return {
@@ -355,17 +389,20 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
         raise InvariantViolationError(
             f"no k <= {k_max} with U > U_FM at nu=2; expected one to exist"
         )
-    rows = _rows(
-        {
-            "k": ks,
-            "delta": columns["delta"],
-            "entropy_nats": columns["entropy_nats"],
-            "U": columns["U"],
-            "U_FM": columns["U_FM"],
-            "U_exceeds_U_FM": exceeds,
-        }
+    table = {
+        "k": ks,
+        "delta": columns["delta"],
+        "entropy_nats": columns["entropy_nats"],
+        "U": columns["U"],
+        "U_FM": columns["U_FM"],
+        "U_exceeds_U_FM": exceeds,
+    }
+    return CompareHiScan(
+        nu=nu,
+        k_max=k_max,
+        crossover_k=crossover,
+        table={name: column.tolist() for name, column in table.items()},
     )
-    return CompareHiScan(nu=nu, k_max=k_max, crossover_k=crossover, rows=tuple(rows))
 
 
 # --- verify suites ----------------------------------------------------------
@@ -486,12 +523,15 @@ def run_verify(suites=None, seed: int = 0, sandwich_count: int = 10000, brute_co
 
 # --- serialization ----------------------------------------------------------
 
+_BOOL_TEXT = {True: "true", False: "false"}
+
 
 def _cell(value) -> str:
+    """CSV text of one cell: empty for None, true/false for a bool, repr for a float, else str."""
     if value is None:
         return ""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _BOOL_TEXT[value]
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -504,7 +544,7 @@ _COLUMN_FORMATS = {
     float: float.__repr__,
     int: int.__repr__,
     str: str.__str__,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _BOOL_TEXT.__getitem__,
 }
 
 
@@ -515,19 +555,29 @@ def _column_cells(values: list) -> list:
     return list(map(format_ or _cell, values))
 
 
+def table_to_csv(table: dict, header_comments=()) -> str:
+    """Render a column table (name -> equal-length list) as CSV.
+
+    Rows are rendered a CSV_BLOCK_ROWS block at a time, so that only one
+    block's cell strings are alive at once.  A table with no rows renders
+    as its header comments alone.
+    """
+    parts = [f"# {c}" for c in header_comments]
+    length = len(next(iter(table.values()), ()))
+    if length:
+        parts.append(",".join(table))
+    for start in range(0, length, CSV_BLOCK_ROWS):
+        stop = start + CSV_BLOCK_ROWS
+        cells = [_column_cells(column[start:stop]) for column in table.values()]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(parts) + "\n" if parts else ""
+
+
 def rows_to_csv(rows: list, header_comments=()) -> str:
-    """Render dict rows as CSV; column order follows the first row's keys."""
-    if not rows:
-        return "\n".join(f"# {c}" for c in header_comments) + "\n" if header_comments else ""
-    columns = list(rows[0].keys())
-    lines = [f"# {c}" for c in header_comments]
-    lines.append(",".join(columns))
-    # a block at a time, so that only one block's cell strings are alive at once
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start : start + CSV_BLOCK_ROWS]
-        cells = [_column_cells([row.get(col) for row in block]) for col in columns]
-        lines += map(",".join, zip(*cells))
-    return "\n".join(lines) + "\n"
+    """Render dict rows as CSV; columns follow the first row's keys, and a missing cell is empty."""
+    columns = rows[0].keys() if rows else ()
+    table = {col: [row.get(col) for row in rows] for col in columns}
+    return table_to_csv(table, header_comments)
 
 
 def rows_to_json(rows: list) -> str:

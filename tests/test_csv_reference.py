@@ -1,0 +1,156 @@
+"""The column-table CSV writer against the row writer it replaced.
+
+The reference is the CSV writer as first written: it renders every cell of
+every dict row, one at a time, with the cell rules spelled out here, so it
+shares no code with the block-wise column writer it referees.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from misbounds.cli import main
+from misbounds.report import (
+    CSV_BLOCK_ROWS,
+    compare_hi_scan,
+    compare_lo_rows,
+    fig1_rows,
+    fig1_table,
+    fig2_rows,
+    fig2_table,
+    fig3_rows,
+    fig3_table,
+    rows_to_csv,
+    rows_to_json,
+    table_rows,
+    table_to_csv,
+)
+
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_rows_to_csv(rows: list, header_comments=()) -> str:
+    """Render dict rows as CSV; column order follows the first row's keys."""
+    if not rows:
+        return "\n".join(f"# {c}" for c in header_comments) + "\n" if header_comments else ""
+    columns = list(rows[0].keys())
+    lines = [f"# {c}" for c in header_comments]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(reference_cell(row.get(col)) for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+def run_cli(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def crossover_comment(scan) -> str:
+    return f"crossover_k = {scan.crossover_k if scan.crossover_k is not None else 'none'}"
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["fig1"], lambda: fig1_rows(5)),
+        (["fig2"], fig2_rows),
+        (["fig2", "--p", "0", "0.3"], lambda: fig2_rows(p_list=(0, 0.3))),
+        (["fig3"], fig3_rows),
+        (["compare-lo"], compare_lo_rows),
+    ],
+)
+def test_default_sweep_csv_is_the_row_writer_output(capsys, argv, rows):
+    assert run_cli(capsys, argv) == reference_rows_to_csv(rows())
+
+
+def test_compare_hi_csv_is_the_row_writer_output(capsys):
+    scan = compare_hi_scan(2.0, 10000)
+    want = reference_rows_to_csv(list(scan.rows), header_comments=(crossover_comment(scan),))
+    assert run_cli(capsys, ["compare-hi"]) == want
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [(["fig1"], lambda: fig1_rows(5)), (["fig2"], fig2_rows), (["fig3"], fig3_rows)],
+)
+def test_sweep_json_is_the_dict_rows(capsys, argv, rows):
+    assert run_cli(capsys, argv + ["--format", "json"]) == rows_to_json(rows())
+
+
+def test_compare_hi_json_lists_the_dict_rows(capsys):
+    scan = compare_hi_scan(2.0, 10000)
+    assert isinstance(scan.rows, tuple)
+    doc = json.loads(run_cli(capsys, ["compare-hi", "--format", "json"]))
+    assert doc == {"nu": 2.0, "k_max": 10000, "crossover_k": scan.crossover_k, "rows": list(scan.rows)}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [lambda: fig1_table(3, 0.5), lambda: fig2_table((0.0, 0.3), 5), lambda: fig3_table((2,), 0.25)],
+)
+def test_table_rows_follow_the_table_columns(table):
+    table = table()
+    rows = table_rows(table)
+    assert [list(row) for row in rows] == [list(table)] * len(rows)
+    assert {name: [row[name] for row in rows] for name in table} == table
+
+
+def mixed_rows(count: int) -> list:
+    """Rows of every cell kind: mixed columns, single-type columns, numpy scalars, None."""
+    mixed = [None, True, False, 3, -0.0, 1 / 3, 1e-320, math.inf, math.nan, "x"]
+    mixed += [np.float64(0.5), np.int64(2), np.bool_(True)]
+    return [
+        {
+            "mixed": mixed[i % len(mixed)],
+            "f": i / 7,
+            "i": i - 1000,
+            "b": i % 3 == 0,
+            "s": f"r{i}",
+            "none": None,
+            "np": np.float64(i / 3),
+            "some_none": None if i % 2 else i / 9,
+        }
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "count", [1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 5]
+)
+@pytest.mark.parametrize("header", [(), ("crossover_k = 7", "second comment")])
+def test_column_writer_matches_the_row_writer(count, header):
+    rows = mixed_rows(count)
+    table = {name: [row[name] for row in rows] for name in rows[0]}
+    want = reference_rows_to_csv(rows, header_comments=header)
+    assert table_to_csv(table, header_comments=header) == want
+    assert rows_to_csv(rows, header_comments=header) == want
+
+
+def test_rows_with_missing_and_extra_keys():
+    rows = mixed_rows(5) + [{"f": 1.0, "extra": 2}]
+    assert rows_to_csv(rows) == reference_rows_to_csv(rows)
+
+
+@pytest.mark.parametrize("header", [(), ("crossover_k = none",)])
+@pytest.mark.parametrize("table", [{}, {"a": [], "b": []}])
+def test_empty_table_renders_its_comments_alone(table, header):
+    want = reference_rows_to_csv([], header_comments=header)
+    assert table_to_csv(table, header_comments=header) == want
+    assert rows_to_csv([], header_comments=header) == want
+    assert table_rows(table) == []
+
+
+def test_empty_sweep_renders_nothing():
+    assert fig2_rows(p_list=()) == []
+    assert table_to_csv(fig2_table(p_list=())) == ""

@@ -37,6 +37,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
+from misbounds import report
 from misbounds.cli import main
 from misbounds.report import (
     _cell,
@@ -283,6 +284,15 @@ class TestCompareLo:
         with pytest.raises(BadParamError):
             compare_lo_rows(k_max=2)
 
+    @pytest.mark.parametrize("k_min, k_max", [(3, 3), (3, 50), (4, 12), (7, 8), (10, 30)])
+    def test_row_limit_counts_the_rows_exactly(self, monkeypatch, k_min, k_max):
+        count = len(compare_lo_rows(k_max=k_max, k_min=k_min))
+        monkeypatch.setattr(report, "GRID_LIMIT", count)
+        assert len(compare_lo_rows(k_max=k_max, k_min=k_min)) == count
+        monkeypatch.setattr(report, "GRID_LIMIT", count - 1)
+        with pytest.raises(TooLargeError):
+            compare_lo_rows(k_max=k_max, k_min=k_min)
+
 
 class TestCompareHi:
     def test_crossover_found_at_seven_for_nu_two(self):
@@ -406,6 +416,7 @@ class TestSweepsMatchTheScalarPath:
         lambda: compare_hi_scan(2.0, 10**12),
         lambda: fig2_rows(points=10**8),
         lambda: fig3_rows(k_list=(2,) * 1000, q_step=5e-5),
+        lambda: compare_lo_rows(k_max=10**9),
     ],
 )
 def test_oversized_grid_refused_before_allocating(sweep):
@@ -574,6 +585,7 @@ class TestCli:
             ["fig1", "--delta-step", "1e-320"],
             ["fig3", "--q-step", "1e-12"],
             ["compare-hi", "--k", "1000000000000"],
+            ["compare-lo", "--k", "1000000000"],
         ],
     )
     def test_oversized_grid_exits_one(self, argv, capsys):
@@ -659,3 +671,13 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("delta,L,U,U_simpl")
+
+    def test_package_runs_as_a_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "misbounds", "fig1", "--k", "3"],
+            capture_output=True,
+            env=CHILD_ENV,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == rows_to_csv(fig1_rows(3))
