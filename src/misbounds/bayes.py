@@ -1,10 +1,10 @@
 """Bayes-optimal classification for finite discrete joint models.
 
 The optimal deterministic rule picks, for each observation x, a label
-maximizing the joint mass w[y, x]; ties break to the smallest label.  Its
-error, the mass of every entry but one maximum per column, is the floor that
-every other classifier's error sits above, which the exhaustive checker
-below confirms by trying all k^n deterministic rules.
+maximizing the joint mass w[y, x]; ties break to the smallest label.  A
+rule's error is the mass off its labels (error_of_labels, for a model or a
+stack); the Bayes rule's is the floor, which the exhaustive checker below
+confirms by trying all k^n deterministic rules.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import LengthMismatchError, OutOfRangeError, TooLargeError
 from .model import JointModel
 
 BRUTE_FORCE_LIMIT = 10**7
+BRUTE_FORCE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def classifier_error(model: JointModel, clf: Classifier) -> float:
         )
     if np.any((labels < 1) | (labels > model.k)):
         raise OutOfRangeError(f"labels must lie in 1..{model.k}")
-    return _mass_off(model, labels - 1)
+    return float(error_of_labels(model.w, labels - 1))
 
 
 def bayes_classifier(model: JointModel) -> Classifier:
@@ -49,46 +50,45 @@ def bayes_classifier(model: JointModel) -> Classifier:
     return Classifier(labels=np.argmax(model.w, axis=0).astype(np.int64) + 1)
 
 
-def _mass_off(model: JointModel, rows: np.ndarray) -> float:
-    """Mass off w[rows[x], x] in every column x, summed so that a tiny error does not cancel."""
-    rest = model.w.copy()
-    rest[rows, np.arange(model.n)] = 0.0
-    return float(rest.sum())
+def error_of_labels(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mass off the 0-based rows labels[..., x] in each column x, per k x n model of a (..., k, n) stack.
+
+    The entries left are summed, so that a tiny error does not cancel.
+    """
+    rest = w.copy()
+    *stack, cols = np.indices(labels.shape, sparse=True)
+    rest[(*stack, labels, cols)] = 0.0
+    return rest.sum(axis=(-2, -1))
 
 
 def bayes_error(model: JointModel) -> float:
     """Minimum misclassification probability: the mass off the column maxima."""
-    return _mass_off(model, model.w.argmax(axis=0))
+    return float(error_of_labels(model.w, model.w.argmax(axis=0)))
 
 
-def profile_errors(profiles: np.ndarray) -> np.ndarray:
-    """Bayes error of each row of a (B, k) stack of profiles: the mass off its maximum.
-
-    Each row is summed as _mass_off sums the k x 1 model of that profile.
-    """
-    rest = profiles.copy()
-    rest[np.arange(len(rest)), rest.argmax(axis=1)] = 0.0
-    return rest.sum(axis=1)
-
-
-def brute_force_bayes_error(model: JointModel, chunk: int = 4096) -> float:
+def brute_force_bayes_error(model: JointModel) -> float:
     """Minimum error over every deterministic rule, by direct enumeration.
 
-    All k^n label assignments are scored in vectorized chunks; refuses
-    instances past BRUTE_FORCE_LIMIT rules.  Exists as an independent check
-    of bayes_error, so it deliberately shares no logic with it.
+    All k^n label assignments are scored in vectorized chunks, each by its
+    miss mass gathered from the table (1 - I) @ w, whose entry (y, x) is
+    column x's mass off label y; refuses instances past BRUTE_FORCE_LIMIT
+    rules.  Exists as an independent check of bayes_error, so it
+    deliberately shares no logic with it.
     """
     k, n = model.k, model.n
     total = k**n
     if total > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"{k}^{n} = {total} rules exceeds limit {BRUTE_FORCE_LIMIT}")
+    # the table as the mass above each label plus the mass below it: running
+    # sums of nonnegative masses, so nothing cancels, in O(kn) memory
+    padded = np.concatenate((np.zeros((1, n)), model.w, np.zeros((1, n))))
+    miss = np.add.accumulate(padded)[:-2] + np.add.accumulate(padded[::-1])[-3::-1]
     radix = k ** np.arange(n, dtype=np.int64)
     cols = np.arange(n)
     best = np.inf
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        codes = np.arange(start, min(start + BRUTE_FORCE_CHUNK, total), dtype=np.int64)
         # mixed-radix digits: rule index -> label (0-based) per observation
-        f = (codes[:, None] // radix[None, :]) % k
-        hit = model.w[f, cols[None, :]].sum(axis=1)
-        best = min(best, float(1.0 - hit.max()))
+        f = codes[:, None] // radix % k
+        best = min(best, float(miss[f, cols].sum(axis=1).min()))
     return best

@@ -58,11 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("fig2", help="three-class log-scale sweep over eps per target error")
-    p.add_argument("--p", type=float, nargs="+", default=list(FIG2_DEFAULT_P))
+    p.add_argument("--p", type=float, nargs="+", default=FIG2_DEFAULT_P)
     add_common(p)
 
     p = sub.add_parser("fig3", help="binomial/exponential family sweeps over q")
-    p.add_argument("--k", type=int, nargs="+", default=list(FIG3_DEFAULT_K))
+    p.add_argument("--k", type=int, nargs="+", default=FIG3_DEFAULT_K)
     p.add_argument("--q-step", type=float, default=0.005)
     add_common(p)
 
@@ -88,6 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     return parser
+
+
+PARSER = _build_parser()  # built once: building takes far longer than parsing
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -165,7 +168,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         text, code = COMMANDS[args.command](args)
     except InvariantViolationError as exc:

@@ -1,6 +1,7 @@
 """Entropy-based bounds on the Bayes error, and a counterexample evaluator.
 
-Conditional Shannon entropy H (in nats) pins the Bayes error between the
+Conditional Shannon entropy H in nats, one posterior_entropies sum for
+models, profiles and stacks alike, pins the Bayes error between the
 Feder-Merhav bounds: the lower bound inverts the strictly increasing map
 phi(p) = p ln(k-1) + h2(p) by a safeguarded Newton iteration that is
 accurate relative to p, so it stays a lower bound for tiny p*, and the upper
@@ -66,34 +67,33 @@ class RenyiValue:
 
 def _plogp(p: np.ndarray) -> np.ndarray:
     """p ln p elementwise with the 0 ln 0 = 0 convention."""
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log(p[mask])
-    return out
+    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
+
+
+def posterior_entropies(posteriors: np.ndarray, mass) -> np.ndarray:
+    """Unclamped mass-weighted Shannon entropy in nats of (..., m, k) posteriors, classes last.
+
+    A model passes its m live column posteriors and their marginals; a
+    profile, or each of a stack, is one column of unit mass.
+    """
+    return -(mass * _plogp(posteriors).sum(axis=-1)).sum(axis=-1)
 
 
 def _column_posteriors(model: JointModel) -> tuple:
-    """Marginal mass of each observation that has some, and its posterior column."""
+    """The posterior of each observation that has mass, classes last and contiguous, and that mass."""
     mu = model.w.sum(axis=0)
     live = mu > 0
-    return mu[live], model.w[:, live] / mu[live]
+    return (model.w[:, live] / mu[live]).T, mu[live]
 
 
 def conditional_entropy(model: JointModel) -> EntropyValue:
     """H(Y|X) in nats: marginal-weighted entropy of the column posteriors."""
-    mu, ratio = _column_posteriors(model)
-    h = -float((mu * _plogp(ratio).sum(axis=0)).sum())
-    return EntropyValue(h=h, k=model.k)
+    return EntropyValue(h=float(posterior_entropies(*_column_posteriors(model))), k=model.k)
 
 
 def entropy_of_profile(profile: PosteriorProfile) -> EntropyValue:
-    """Shannon entropy of one posterior profile, in nats."""
-    return EntropyValue(h=-float(_plogp(profile.a).sum()), k=profile.k)
-
-
-def profile_entropies(profiles: np.ndarray) -> np.ndarray:
-    """Shannon entropy in nats of each row of a (B, k) stack of profiles, unclamped."""
-    return -_plogp(profiles).sum(axis=1)
+    """Shannon entropy of one posterior profile, in nats: one column of unit mass."""
+    return EntropyValue(h=float(posterior_entropies(profile.a[None, :], 1.0)), k=profile.k)
 
 
 def _h2(p: float) -> float:
@@ -228,11 +228,11 @@ def renyi_conditional_entropy(model: JointModel, beta: float) -> RenyiValue:
     """
     if not beta > 0.0:
         raise BadBetaError(f"beta={beta!r} must be positive")
-    mu, ratio = _column_posteriors(model)
+    ratio, mu = _column_posteriors(model)
     if beta == 1.0:
-        per_col = -(_plogp(ratio) / math.log(2.0)).sum(axis=0)
+        per_col = -(_plogp(ratio) / math.log(2.0)).sum(axis=-1)
     else:
-        power_sum = (ratio**beta).sum(axis=0)
+        power_sum = (ratio**beta).sum(axis=-1)
         per_col = np.log2(power_sum) / (1.0 - beta)
     return RenyiValue(h_beta=float((mu * per_col).sum()), beta=beta)
 

@@ -116,8 +116,8 @@ def validate_joint(raw) -> JointModel:
     if w.ndim != 2 or w.size == 0:
         raise ParseError(f"expected a nonempty 2-D matrix, got shape {w.shape}")
     require_classes(w.shape[0])
-    if np.any(w < 0) or np.any(np.isnan(w)):
-        y, x = np.argwhere((w < 0) | np.isnan(w))[0]
+    if not (w >= 0).all():  # false for NaN too
+        y, x = np.argwhere(~(w >= 0))[0]
         raise NegativeEntryError(
             f"entry at row {y + 1}, col {x + 1} is {w[y, x]!r}; entries must be >= 0"
         )

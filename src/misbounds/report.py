@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import bayes_error, brute_force_bayes_error, profile_errors
+from .bayes import bayes_error, brute_force_bayes_error, error_of_labels
 from .entropy import (
     conditional_entropy,
     entropy_columns,
@@ -32,7 +32,7 @@ from .entropy import (
     ep_counterexample_check,
     lower_fm,
     phi,
-    profile_entropies,
+    posterior_entropies,
     upper_fm,
 )
 from .errors import BadParamError, InvariantViolationError, TooLargeError
@@ -51,7 +51,7 @@ from .tv_bounds import (
     delta_of_profile,
     envelope_columns,
     lower_bound,
-    profile_separations,
+    separations,
     simplex_grid_oracle,
     upper_bound,
     upper_bound_simpl,
@@ -171,13 +171,16 @@ def _check_chain(columns: dict) -> None:
 def _profile_columns(k: int, profiles: np.ndarray) -> dict:
     """The fields of BoundsReport.from_profile, as columns, for a (B, k) stack of profiles.
 
-    L_FM maps the scalar lower_fm over the entropy column: an array
-    phi-inverse would save little.  The chains are checked before return.
+    Each profile is a k x 1 model of the stack w whose one column has unit
+    mass, as from_profile takes it.  L_FM maps the scalar lower_fm over the
+    entropy column: an array phi-inverse would save little.  The chains are
+    checked before return.
     """
+    w = profiles[..., None]
     columns = {
-        **envelope_columns(k, profile_separations(profiles)),
-        **entropy_columns(k, profile_entropies(profiles)),
-        "p_star": profile_errors(profiles),
+        **envelope_columns(k, separations(w)),
+        **entropy_columns(k, posterior_entropies(profiles[:, None, :], 1.0)),
+        "p_star": error_of_labels(w, w.argmax(axis=-2)),
     }
     columns["L_FM"] = np.array([lower_fm(k, h) for h in columns["entropy_nats"].tolist()])
     _check_chain(columns)

@@ -2,12 +2,13 @@
 
 The separation statistic Delta sums the total variation distances over all
 label pairs of the joint sub-measures; it ranges from 0 (indistinguishable
-classes) to k-1 (pairwise disjoint supports).  The Bayes error is pinned
-between an affine lower bound L and a piecewise-linear upper bound U of
-Delta, and both are attained by explicit posterior profiles.  An exhaustive
-oracle certifies the chain, attainment and strictness on simplex grids i/N
-as signs of cross-multiplied integers, with no float tolerance; Fractions
-appear only in the violations it reports.
+classes) to k-1 (pairwise disjoint supports), and one kernel, separations,
+computes it for models, profiles and stacks alike.  The Bayes error is
+pinned between an affine lower bound L and a piecewise-linear upper bound U
+of Delta, and both are attained by explicit posterior profiles.  An
+exhaustive oracle certifies the chain, attainment and strictness on simplex
+grids i/N as signs of cross-multiplied integers, with no float tolerance;
+Fractions appear only in the violations it reports.
 """
 
 from __future__ import annotations
@@ -64,38 +65,27 @@ def snapped_ceil_array(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x - nearest) <= INTEGER_SNAP, nearest, np.ceil(x))
 
 
-def _pairwise_abs_sum(w: np.ndarray) -> float:
-    """Sum over row pairs y < z of sum_x |w[y,x] - w[z,x]|, in O(kn log k).
+def separations(w: np.ndarray) -> np.ndarray:
+    """Unclamped sum over row pairs y < z of sum_x |w[y,x] - w[z,x]|, per k x n model of a (..., k, n) stack.
 
     For ascending a_(1) <= ... <= a_(k), sum_{i<j} |a_i - a_j| equals
-    sum_i (2i - k - 1) a_(i), the identity behind Gini's mean difference;
-    sorting each column lets the rank weights be applied to row sums.
+    sum_i (2i - k - 1) a_(i), Gini's mean-difference identity, so the rank
+    weights apply to the row sums of the sorted columns: O(kn log k), and one
+    dot product per model, so a model in a stack gets the bits it gets alone.
     """
-    k = w.shape[0]
+    k = w.shape[-2]
     ranks = np.arange(1 - k, k, 2, dtype=float)
-    return float(ranks @ np.sort(w, axis=0).sum(axis=1))
-
-
-def profile_separations(profiles: np.ndarray) -> np.ndarray:
-    """Pairwise absolute-difference sum of each row of a (B, k) stack of profiles, unclamped.
-
-    Each row takes the same rank-weight dot product as _pairwise_abs_sum, so
-    it is bit-identical to delta_of_profile on that row; a single matrix-vector
-    product would sum in another order.
-    """
-    k = profiles.shape[1]
-    ranks = np.arange(1 - k, k, 2, dtype=float)
-    return np.array([ranks @ row for row in np.sort(profiles, axis=1)])
+    return np.vecdot(np.sort(w, axis=-2).sum(axis=-1), ranks)
 
 
 def delta(model: JointModel) -> DeltaValue:
     """Sum over label pairs y < z of sum_x |w[y,x] - w[z,x]|."""
-    return DeltaValue(delta=_pairwise_abs_sum(model.w), k=model.k)
+    return DeltaValue(delta=float(separations(model.w)), k=model.k)
 
 
 def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
-    """Pairwise absolute-difference sum of a single posterior profile."""
-    return DeltaValue(delta=_pairwise_abs_sum(profile.a[:, None]), k=profile.k)
+    """Separation of a single posterior profile, the k x 1 model it is."""
+    return DeltaValue(delta=float(separations(profile.a[:, None])), k=profile.k)
 
 
 # The envelope formulas, written once for a float or an array of separations d

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from misbounds import bayes
 from misbounds import (
     Classifier,
     LengthMismatchError,
@@ -129,10 +130,23 @@ class TestBruteForce:
             m = random_model(rng, k, n)
             assert abs(brute_force_bayes_error(m) - bayes_error(m)) <= 1e-12
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(37)
         m = random_model(rng, 3, 7)
-        assert brute_force_bayes_error(m, chunk=5) == brute_force_bayes_error(m, chunk=4096)
+        whole = brute_force_bayes_error(m)
+        monkeypatch.setattr(bayes, "BRUTE_FORCE_CHUNK", 5)
+        assert brute_force_bayes_error(m) == whole
+
+    def test_tiny_error_is_exact(self):
+        # scoring a rule as 1 - (its hit mass) would cancel 1e-15 to 9.992e-16
+        m = validate_joint([[0.5 - 1e-15, 0.5], [1e-15, 0.0]])
+        assert brute_force_bayes_error(m) == bayes_error(m) == 1e-15
+
+    def test_tail_models_match_bayes_error_relatively(self):
+        # the Bayes rule's miss mass is summed from the same nonnegative entries
+        for q in (1e-13, 1e-100, 1e-300):
+            m = validate_joint([[0.5 - q, 0.25, 0.25], [q, 0.0, 0.0]])
+            assert brute_force_bayes_error(m) == pytest.approx(bayes_error(m), rel=1e-15, abs=0.0)
 
     def test_guard_rejects_huge_instances(self):
         rng = np.random.default_rng(41)

@@ -37,16 +37,18 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds import report
+from misbounds import cli, report
 from misbounds.cli import main
 from misbounds.report import (
     _cell,
     _check_chain,
     _profile_columns,
+    fig3_table,
     log10_or_none,
     random_model,
     rows_to_csv,
     rows_to_json,
+    table_to_csv,
     verify_brute_force,
     verify_sandwich,
 )
@@ -594,6 +596,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+    def test_second_call_sees_its_own_defaults(self, capsys):
+        assert main(["fig3", "--k", "2"]) == 0
+        narrow = capsys.readouterr().out
+        assert main(["fig3"]) == 0
+        assert capsys.readouterr().out == table_to_csv(fig3_table()) != narrow
+        assert main(["fig2", "--p", "0.3"]) == 0
+        capsys.readouterr()
+        assert main(["fig2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == fig2_rows()
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert main(["compare-lo", "--k", "5"]) == 0
+        assert capsys.readouterr().out.startswith("k,ell,d,")
 
     def test_report_requires_exactly_one_input(self, capsys):
         assert main(["report"]) == 1
