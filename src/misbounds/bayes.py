@@ -9,6 +9,7 @@ confirms by trying all k^n deterministic rules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .model import JointModel
 
 BRUTE_FORCE_LIMIT = 10**7
 BRUTE_FORCE_CHUNK = 4096
+SHORT_RUN = 64
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,26 @@ def bayes_error(model: JointModel) -> float:
     return float(error_of_labels(model.w, model.w.argmax(axis=0)))
 
 
+def _miss_table(w: np.ndarray) -> np.ndarray:
+    """Entry (y, x) is column x's mass off label y: the mass above y plus the mass below.
+
+    Both are running sums of nonnegative masses, so nothing cancels.  Past
+    SHORT_RUN rows they run inside blocks of about sqrt(k) rows, shifted by a
+    running sum over the block totals, which keeps the rounding error near
+    2 sqrt(k) eps where one running sum down all k rows lets it grow like k eps.
+    """
+    k, n = w.shape
+    size = k if k <= SHORT_RUN else math.isqrt(k - 1) + 1
+    runs = np.zeros((2, -(-k // size) * size, n))
+    runs[0, 1:k] = w[:-1]
+    runs[1, 1:k] = w[:0:-1]
+    blocks = runs.reshape(2, -1, size, n)
+    np.add.accumulate(blocks, axis=2, out=blocks)
+    if blocks.shape[1] > 1:
+        blocks[:, 1:] += np.add.accumulate(blocks[:, :-1, -1:], axis=1)
+    return runs[0, :k] + runs[1, k - 1 :: -1]
+
+
 def brute_force_bayes_error(model: JointModel) -> float:
     """Minimum error over every deterministic rule, by direct enumeration.
 
@@ -79,10 +101,7 @@ def brute_force_bayes_error(model: JointModel) -> float:
     total = k**n
     if total > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"{k}^{n} = {total} rules exceeds limit {BRUTE_FORCE_LIMIT}")
-    # the table as the mass above each label plus the mass below it: running
-    # sums of nonnegative masses, so nothing cancels, in O(kn) memory
-    padded = np.concatenate((np.zeros((1, n)), model.w, np.zeros((1, n))))
-    miss = np.add.accumulate(padded)[:-2] + np.add.accumulate(padded[::-1])[-3::-1]
+    miss = _miss_table(model.w)
     radix = k ** np.arange(n, dtype=np.int64)
     cols = np.arange(n)
     best = np.inf

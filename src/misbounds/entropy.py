@@ -71,19 +71,21 @@ def _plogp(p: np.ndarray) -> np.ndarray:
 
 
 def posterior_entropies(posteriors: np.ndarray, mass) -> np.ndarray:
-    """Unclamped mass-weighted Shannon entropy in nats of (..., m, k) posteriors, classes last.
+    """Unclamped mass-weighted Shannon entropy in nats of the (..., k, m) posteriors of a model or stack.
 
     A model passes its m live column posteriors and their marginals; a
-    profile, or each of a stack, is one column of unit mass.
+    profile, or each of a stack, is one column of unit mass.  Each posterior
+    is summed over the last axis of the transposed view, so a model's column
+    posteriors, which boolean indexing leaves column-major, sum contiguously.
     """
-    return -(mass * _plogp(posteriors).sum(axis=-1)).sum(axis=-1)
+    return -(mass * _plogp(np.swapaxes(posteriors, -1, -2)).sum(axis=-1)).sum(axis=-1)
 
 
 def _column_posteriors(model: JointModel) -> tuple:
-    """The posterior of each observation that has mass, classes last and contiguous, and that mass."""
+    """The posterior of each observation that has mass, one per column, and that mass."""
     mu = model.w.sum(axis=0)
     live = mu > 0
-    return (model.w[:, live] / mu[live]).T, mu[live]
+    return model.w[:, live] / mu[live], mu[live]
 
 
 def conditional_entropy(model: JointModel) -> EntropyValue:
@@ -93,7 +95,7 @@ def conditional_entropy(model: JointModel) -> EntropyValue:
 
 def entropy_of_profile(profile: PosteriorProfile) -> EntropyValue:
     """Shannon entropy of one posterior profile, in nats: one column of unit mass."""
-    return EntropyValue(h=float(posterior_entropies(profile.a[None, :], 1.0)), k=profile.k)
+    return EntropyValue(h=float(posterior_entropies(profile.a[:, None], 1.0)), k=profile.k)
 
 
 def _h2(p: float) -> float:
@@ -224,16 +226,14 @@ def renyi_conditional_entropy(model: JointModel, beta: float) -> RenyiValue:
 
     Columns are the conditioning outcomes; each column's posterior over rows
     is collapsed by the order-beta power sum, then mixed by the column
-    marginal.  beta = 1 is the Shannon limit, computed directly in bits.
+    marginal.  beta = 1 is the Shannon limit, H(Y|X) in bits.
     """
     if not beta > 0.0:
         raise BadBetaError(f"beta={beta!r} must be positive")
     ratio, mu = _column_posteriors(model)
     if beta == 1.0:
-        per_col = -(_plogp(ratio) / math.log(2.0)).sum(axis=-1)
-    else:
-        power_sum = (ratio**beta).sum(axis=-1)
-        per_col = np.log2(power_sum) / (1.0 - beta)
+        return RenyiValue(h_beta=float(posterior_entropies(ratio, mu)) / math.log(2.0), beta=beta)
+    per_col = np.log2((ratio**beta).sum(axis=0)) / (1.0 - beta)
     return RenyiValue(h_beta=float((mu * per_col).sum()), beta=beta)
 
 

@@ -179,7 +179,7 @@ def _profile_columns(k: int, profiles: np.ndarray) -> dict:
     w = profiles[..., None]
     columns = {
         **envelope_columns(k, separations(w)),
-        **entropy_columns(k, posterior_entropies(profiles[:, None, :], 1.0)),
+        **entropy_columns(k, posterior_entropies(w, 1.0)),
         "p_star": error_of_labels(w, w.argmax(axis=-2)),
     }
     columns["L_FM"] = np.array([lower_fm(k, h) for h in columns["entropy_nats"].tolist()])

@@ -70,12 +70,14 @@ def separations(w: np.ndarray) -> np.ndarray:
 
     For ascending a_(1) <= ... <= a_(k), sum_{i<j} |a_i - a_j| equals
     sum_i (2i - k - 1) a_(i), Gini's mean-difference identity, so the rank
-    weights apply to the row sums of the sorted columns: O(kn log k), and one
-    dot product per model, so a model in a stack gets the bits it gets alone.
+    weights apply to the row sums of the sorted columns: O(kn log k).  One
+    stacked (1, k) @ (k, 1) product per model gives each model of a stack
+    the bits it gets alone, which a (B, k) @ ranks product does not.
     """
     k = w.shape[-2]
     ranks = np.arange(1 - k, k, 2, dtype=float)
-    return np.vecdot(np.sort(w, axis=-2).sum(axis=-1), ranks)
+    sums = np.sort(w, axis=-2).sum(axis=-1)
+    return np.matmul(sums[..., None, :], ranks[:, None])[..., 0, 0]
 
 
 def delta(model: JointModel) -> DeltaValue:

@@ -1,5 +1,7 @@
 """Bayes-optimal classification and the exhaustive classifier oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,18 @@ class TestBruteForce:
         for q in (1e-13, 1e-100, 1e-300):
             m = validate_joint([[0.5 - q, 0.25, 0.25], [q, 0.0, 0.0]])
             assert brute_force_bayes_error(m) == pytest.approx(bayes_error(m), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 130, 1025])
+    def test_miss_table_is_the_mass_off_each_label(self, k):
+        w = np.random.default_rng(k).random((k, 3))
+        want = [[math.fsum(np.delete(w[:, x], y)) for x in range(3)] for y in range(k)]
+        np.testing.assert_allclose(bayes._miss_table(w), want, rtol=1e-14, atol=0.0)
+
+    def test_million_classes_stay_within_verify_tolerance(self):
+        # one running sum down all 10^6 rows drifts 1.3e-11 here; blocked sums
+        # keep the error near 2 sqrt(k) eps
+        m = validate_joint(np.full((10**6, 1), 1e-6))
+        assert abs(brute_force_bayes_error(m) - bayes_error(m)) <= 1e-12
 
     def test_guard_rejects_huge_instances(self):
         rng = np.random.default_rng(41)

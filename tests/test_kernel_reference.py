@@ -246,7 +246,7 @@ def test_from_profile_matches_reference_field_by_field(profile):
 def assert_stack_matches_reference(stack: np.ndarray):
     w = stack[..., None]
     seps = separations(w)
-    ents = posterior_entropies(stack[:, None, :], 1.0)
+    ents = posterior_entropies(w, 1.0)
     errors = error_of_labels(w, w.argmax(axis=-2))
     assert seps.tolist() == reference_profile_separations(stack).tolist()
     assert ents.tolist() == reference_profile_entropies(stack).tolist()
