@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, OutOfRangeError, TooLargeError
-from .model import JointModel
+from .errors import LengthMismatchError, OutOfRangeError
+from .model import JointModel, require_at_most
 
 BRUTE_FORCE_LIMIT = 10**7
 BRUTE_FORCE_CHUNK = 4096
@@ -29,6 +29,7 @@ class Classifier:
     labels: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", np.asarray(self.labels))
         self.labels.setflags(write=False)
 
     def __call__(self, x: int) -> int:
@@ -37,13 +38,13 @@ class Classifier:
 
 def classifier_error(model: JointModel, clf: Classifier) -> float:
     """Misclassification probability P(f(X) != Y) of a deterministic rule."""
-    labels = np.asarray(clf.labels)
+    labels = clf.labels
     if labels.shape != (model.n,):
         raise LengthMismatchError(
-            f"classifier assigns {labels.shape[0]} observations, model has {model.n}"
+            f"classifier assigns {labels.size} observations, model has {model.n}"
         )
-    if np.any((labels < 1) | (labels > model.k)):
-        raise OutOfRangeError(f"labels must lie in 1..{model.k}")
+    if labels.dtype.kind not in "iu" or np.any((labels < 1) | (labels > model.k)):
+        raise OutOfRangeError(f"labels must be integers in 1..{model.k}")
     return float(error_of_labels(model.w, labels - 1))
 
 
@@ -99,8 +100,7 @@ def brute_force_bayes_error(model: JointModel) -> float:
     """
     k, n = model.k, model.n
     total = k**n
-    if total > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(f"{k}^{n} = {total} rules exceeds limit {BRUTE_FORCE_LIMIT}")
+    require_at_most(total, BRUTE_FORCE_LIMIT, "rules")
     miss = _miss_table(model.w)
     radix = k ** np.arange(n, dtype=np.int64)
     cols = np.arange(n)

@@ -19,25 +19,14 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    BadParamError,
-    BadPermutationError,
-    BadWeightsError,
-    OutOfDomainError,
-    TooLargeError,
-)
-from .model import MASS_TOL, JointModel, PosteriorProfile, clamp_array, integer, validate_profile
+from .errors import BadParamError, BadPermutationError, BadWeightsError, OutOfDomainError
+from .model import MASS_TOL, JointModel, PosteriorProfile, clamp_array, integer, integer_at_least, require_at_most, validate_profile
 
 PROFILE_SIZE_LIMIT = 10**7
 
 
 class DomainWarning(UserWarning):
     """Parameters are legal but outside a guarantee's proven range."""
-
-
-def _require_profile_size(k: int) -> None:
-    if k > PROFILE_SIZE_LIMIT:
-        raise TooLargeError(f"k={k} exceeds limit {PROFILE_SIZE_LIMIT}")
 
 
 def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
@@ -67,17 +56,6 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     return JointModel(w=w)
 
 
-def _integer_at_least(value, name: str, least: int) -> int:
-    """value as a Python int of at least `least`; a bool, a float or a string is refused."""
-    try:
-        number = integer(value)
-    except TypeError:
-        number = None
-    if number is None or number < least:
-        raise BadParamError(f"{name}={value!r} must be an integer >= {least}")
-    return number
-
-
 def _open_unit(qs) -> np.ndarray:
     """The sequence qs as a float vector; the first entry outside (0, 1), NaN included, is refused."""
     for q in qs:
@@ -94,10 +72,10 @@ def _descending(a: np.ndarray) -> np.ndarray:
 
 def binomial_profiles(m: int, qs) -> np.ndarray:
     """(B, 2^m) stack of binomial profiles, one row per q in the sequence qs."""
-    m = _integer_at_least(m, "m", 1)
+    m = integer_at_least(m, "m", 1)
     q = _open_unit(qs)[:, None]
-    if 2**m > PROFILE_SIZE_LIMIT:
-        raise TooLargeError(f"2^{m} entries exceeds limit {PROFILE_SIZE_LIMIT}")
+    # 2^m entries fit under the limit exactly when m is below the limit's bit length
+    require_at_most(m, PROFILE_SIZE_LIMIT.bit_length() - 1, "binomial trials")
     j = np.arange(m + 1)
     values = (1.0 - q) ** j * q ** (m - j)
     counts = [math.comb(m, int(jj)) for jj in j]
@@ -140,9 +118,9 @@ def exponential_profiles(k: int, qs) -> np.ndarray:
     shifted scale, exp(log term - largest log term), over their sum.  The
     per-q logarithms come from the math module, as _geometric_sum's powers do.
     """
-    k = _integer_at_least(k, "k", 2)
+    k = integer_at_least(k, "k", 2)
     q = _open_unit(qs)
-    _require_profile_size(k)
+    require_at_most(k, PROFILE_SIZE_LIMIT, "classes")
     i = np.arange(1, k + 1, dtype=float)
     lead, tail = i - 1.0, k - i
     q_values = q.tolist()
@@ -176,6 +154,8 @@ def exponential_profile(k: int, q: float) -> PosteriorProfile:
 
 def three_class_profiles(p, eps) -> np.ndarray:
     """(B, 3) stack of three-class profiles, one row per pair of equal-length sequences p, eps."""
+    if np.shape(p) != np.shape(eps):
+        raise BadParamError(f"p and eps must match in length, got shapes {np.shape(p)} and {np.shape(eps)}")
     slack = 1e-12
     p = clamp_array(p, 0.0, 2.0 / 3.0, slack, OutOfDomainError, "p")
     eps = clamp_array(eps, np.maximum(2.0 * p - 1.0, 0.0), p / 2.0, slack, OutOfDomainError, "eps")
@@ -200,11 +180,11 @@ def comp_lo_guaranteed(k: int) -> set:
 
 def comp_lo_profile(k: int, ell: int) -> PosteriorProfile:
     """Uniform profile on the first `ell` of k classes: ell entries 1/ell, then 0."""
-    if not (isinstance(k, (int, np.integer)) and k >= 3):
-        raise BadParamError(f"k={k!r} must be an integer >= 3")
-    if not (isinstance(ell, (int, np.integer)) and 2 <= ell <= k):
+    k = integer_at_least(k, "k", 3)
+    ell = integer_at_least(ell, "ell", 2)
+    if ell > k:
         raise BadParamError(f"ell={ell!r} must be an integer in 2..{k}")
-    _require_profile_size(k)
+    require_at_most(k, PROFILE_SIZE_LIMIT, "classes")
     if ell not in comp_lo_guaranteed(k):
         warnings.warn(
             f"ell={ell} is outside the guaranteed set for k={k}; "
@@ -232,7 +212,7 @@ def _require_comp_hi_params(k, nu: float) -> None:
 def comp_hi_profile(k: int, nu: float) -> PosteriorProfile:
     """One dominant entry 1-(nu-1)/k over a flat tail; separation k - nu."""
     _require_comp_hi_params(k, nu)
-    _require_profile_size(k)
+    require_at_most(k, PROFILE_SIZE_LIMIT, "classes")
     a = np.full(k, (nu - 1.0) / (k * (k - 1.0)))
     a[0] = 1.0 - (nu - 1.0) / k
     return PosteriorProfile(a=a)

@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadParamError,
     MassNotOneError,
     NegativeEntryError,
     ParseError,
     TooFewClassesError,
+    TooLargeError,
     ZeroMarginalError,
 )
 
@@ -68,10 +70,7 @@ class PosteriorProfile:
         return JointModel(w=self.a[:, None])
 
 
-def require_classes(k: int) -> None:
-    """Refuse a class count below two, the smallest with a decision to make."""
-    if k < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
+# --- parameter guards: every public entry checks its integers and sizes here ---
 
 
 def integer(value) -> int:
@@ -79,6 +78,36 @@ def integer(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not an integer")
     return operator.index(value)
+
+
+def integer_at_least(value, name: str, least: int) -> int:
+    """value as a Python int of at least `least`; a bool, a float or a string is refused."""
+    try:
+        number = integer(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise BadParamError(f"{name}={value!r} must be an integer >= {least}")
+    return number
+
+
+def require_classes(k) -> int:
+    """k as a Python int; refuses a non-integer, and a count below two, the least with a decision to make."""
+    if type(k) is int and k >= 2:  # the usual case, at a third of the cost of the checks below
+        return k
+    try:
+        number = integer(k)
+    except TypeError:
+        raise BadParamError(f"k={k!r} must be an integer >= 2") from None
+    if number < 2:
+        raise TooFewClassesError(f"need at least 2 classes, got k={k}")
+    return number
+
+
+def require_at_most(count, limit, what: str) -> None:
+    """Refuse a count of `what` above limit, NaN included; the message is built only then."""
+    if not count <= limit:
+        raise TooLargeError(f"too many {what}: {count}, over the limit of {limit}")
 
 
 def clamp(value: float, lo: float, hi: float, slack: float, error: type, name: str) -> float:
@@ -104,6 +133,14 @@ def clamp_array(values, lo, hi, slack: float, error: type, name: str) -> np.ndar
     return np.where(hi < raised, hi, raised)
 
 
+def _floats(raw) -> np.ndarray:
+    """raw as a float array; ragged rows and entries that are not numbers are a ParseError."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"expected numbers in a rectangular array: {exc}") from None
+
+
 def validate_joint(raw) -> JointModel:
     """Validate a k x n matrix of joint probabilities and wrap it as a model.
 
@@ -112,14 +149,14 @@ def validate_joint(raw) -> JointModel:
     renormalization, which tolerates decimal-text round-off without hiding
     genuine input errors).
     """
-    w = np.asarray(raw, dtype=float)
+    w = _floats(raw)
     if w.ndim != 2 or w.size == 0:
         raise ParseError(f"expected a nonempty 2-D matrix, got shape {w.shape}")
     require_classes(w.shape[0])
     if not (w >= 0).all():  # false for NaN too
         y, x = np.argwhere(~(w >= 0))[0]
         raise NegativeEntryError(
-            f"entry at row {y + 1}, col {x + 1} is {w[y, x]!r}; entries must be >= 0"
+            f"entry at row {y + 1}, col {x + 1} is {float(w[y, x])!r}; entries must be >= 0"
         )
     total = float(w.sum())
     if abs(total - 1.0) > MASS_TOL:
@@ -129,7 +166,7 @@ def validate_joint(raw) -> JointModel:
 
 def validate_profile(raw) -> PosteriorProfile:
     """Validate a length-k vector as the k x 1 joint model it is."""
-    a = np.asarray(raw, dtype=float)
+    a = _floats(raw)
     if a.ndim != 1 or a.size == 0:
         raise ParseError(f"expected a nonempty 1-D vector, got shape {a.shape}")
     return PosteriorProfile(a=validate_joint(a[:, None]).w[:, 0])

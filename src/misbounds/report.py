@@ -35,7 +35,7 @@ from .entropy import (
     posterior_entropies,
     upper_fm,
 )
-from .errors import BadParamError, InvariantViolationError, TooLargeError
+from .errors import BadParamError, InvariantViolationError
 from .families import (
     PROFILE_SIZE_LIMIT,
     binomial_profiles,
@@ -44,7 +44,7 @@ from .families import (
     exponential_profiles,
     three_class_profiles,
 )
-from .model import JointModel, PosteriorProfile, validate_joint
+from .model import JointModel, PosteriorProfile, integer_at_least, require_at_most, require_classes, validate_joint
 from .tv_bounds import (
     GRID_LIMIT,
     delta,
@@ -192,16 +192,10 @@ def table_rows(table: dict) -> list:
     return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
-def _require_rows(count, what: str) -> None:
-    """Refuse, before anything is allocated, a sweep of more than GRID_LIMIT rows."""
-    if not count <= GRID_LIMIT:
-        raise TooLargeError(f"{what} gives {count:.3g} rows, over the limit of {GRID_LIMIT}")
-
-
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive grid from lo to hi; lands exactly on hi when step divides."""
     steps = (hi - lo) / step
-    _require_rows(steps + 1, f"a step of {step!r}")
+    require_at_most(steps + 1, GRID_LIMIT, "grid points")
     count = round(steps)
     if count >= 1 and abs(lo + count * step - hi) <= 1e-9:
         return np.linspace(lo, hi, count + 1)
@@ -211,6 +205,7 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def fig1_table(k: int, delta_step: float = 0.01) -> dict:
     """Bound curves (L, U, U_simpl) over the full separation range [0, k-1], as a column table."""
+    k = require_classes(k)
     if not 0.0 < delta_step < math.inf:
         raise BadParamError(f"delta_step={delta_step!r} must be positive and finite")
     columns = envelope_columns(k, _grid(0.0, float(k - 1), delta_step))
@@ -235,10 +230,9 @@ FIG2_LOG_COLUMNS = ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star")
 
 def fig2_table(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> dict:
     """Three-class log-scale sweep as a column table: for each target error p, scan feasible eps."""
-    if points < 1:
-        raise BadParamError(f"points={points!r} must be >= 1")
+    points = integer_at_least(points, "points", 1)
     p_list = list(p_list)
-    _require_rows(len(p_list) * points, f"{len(p_list)} values of p at {points} points")
+    require_at_most(len(p_list) * points, GRID_LIMIT, "rows")
     p_column, eps_column = [], []
     for p in p_list:
         lo = max(2.0 * p - 1.0, 0.0)
@@ -272,12 +266,11 @@ def fig3_table(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> dict:
     if not 0.0 < q_step <= 0.5:
         raise BadParamError(f"q_step={q_step!r} must lie in (0, 0.5]")
     q_grid = _grid(q_step, 0.5, q_step).tolist()
-    k_list = list(k_list)
-    _require_rows(2 * len(k_list) * len(q_grid), f"{len(k_list)} class counts at {len(q_grid)} q")
+    k_list = [require_classes(k) for k in k_list]
+    require_at_most(2 * len(k_list) * len(q_grid), GRID_LIMIT, "rows")
     table = {name: [] for name in ("family", "k", "q", *FIG3_COLUMNS)}
     for family in ("binomial", "exponential"):
         for k in k_list:
-            k = int(k)
             if family == "binomial":
                 m = int(round(math.log2(k)))
                 if 2**m != k:
@@ -318,11 +311,11 @@ def d_lower_margin(k: int, ell: int) -> float:
 
 def compare_lo_rows(k_max: int = 50, k_min: int = 3) -> list:
     """Margins d_k(ell) over every guaranteed (k, ell); all must be positive."""
-    if k_min < 3 or k_max < k_min:
-        raise BadParamError(f"need 3 <= k_min <= k_max, got {k_min}..{k_max}")
+    k_min = integer_at_least(k_min, "k_min", 3)
+    k_max = integer_at_least(k_max, "k_max", k_min)
     # comp_lo_guaranteed gives three support sizes for every k >= 10
     extra = sum(len(comp_lo_guaranteed(k)) - 3 for k in range(k_min, min(k_max, 9) + 1))
-    _require_rows(3 * (k_max - k_min + 1) + extra, f"k = {k_min}..{k_max}")
+    require_at_most(3 * (k_max - k_min + 1) + extra, GRID_LIMIT, "rows")
     rows = []
     for k in range(k_min, k_max + 1):
         for ell in sorted(comp_lo_guaranteed(k)):
@@ -377,9 +370,8 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
     if not 1.0 < nu < math.inf:
         raise BadParamError(f"nu={nu!r} must be finite and exceed 1")
     k_start = math.floor(nu) + 1
-    if k_max < k_start:
-        raise BadParamError(f"k_max={k_max} leaves no k > nu={nu}")
-    _require_rows(k_max - k_start + 1, f"k = {k_start}..{k_max}")
+    k_max = integer_at_least(k_max, "k_max", k_start)
+    require_at_most(k_max - k_start + 1, GRID_LIMIT, "class counts")
     ks = np.arange(k_start, k_max + 1)
     stats = comp_hi_stats(ks, nu)
     columns = {
@@ -417,14 +409,9 @@ def random_model(rng: np.random.Generator, k: int, n: int) -> JointModel:
     return validate_joint(w / w.sum())
 
 
-def _require_count(count: int) -> None:
-    if count < 1:
-        raise BadParamError(f"count={count!r} must be >= 1")
-
-
 def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
     """Both bound chains on random models; reports the worst slack seen."""
-    _require_count(count)
+    count = integer_at_least(count, "count", 1)
     rng = np.random.default_rng(seed)
     worst = math.inf
     worst_site = None
@@ -482,7 +469,7 @@ def verify_extremal(k_values=range(2, 9), step: float = 0.01) -> dict:
 
 def verify_brute_force(count: int = 300, seed: int = 0) -> dict:
     """Closed-form Bayes error against exhaustive classifier enumeration."""
-    _require_count(count)
+    count = integer_at_least(count, "count", 1)
     rng = np.random.default_rng(seed)
     pairs = [(k, n) for k in range(2, 9) for n in range(1, 7) if k**n <= 10**5]
     worst = 0.0

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadParamError, OutOfRangeError, TooLargeError
-from .model import JointModel, PosteriorProfile, clamp, clamp_array, integer, require_classes
+from .errors import OutOfRangeError
+from .model import JointModel, PosteriorProfile, clamp, clamp_array, integer_at_least, require_at_most, require_classes
 
 # Ceil is discontinuous, so a value that lands on an integer up to
 # representation error (a separation of 2.0000000000000004, or exp(H) at an
@@ -262,14 +262,6 @@ def _violations(comp: tuple, k: int, N: int, D: int, P: int, T: int, sides: list
     return [(comp, d, *compared[side], side) for side in sides]
 
 
-def _grid_integer(name: str, value) -> int:
-    """value as a Python int, so grid arithmetic never runs in fixed-width numpy integers."""
-    try:
-        return integer(value)
-    except TypeError as exc:
-        raise BadParamError(f"{name}={value!r} must be an integer") from exc
-
-
 def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     """Certify the bound chain and its equality cases on the whole i/N grid.
 
@@ -280,15 +272,12 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     matching extremal profile.  Sorting c descending gives
     D = N*delta = sum_i (k+1-2i) c_(i), and every check is the sign of a
     cross-multiplied integer; Fractions are built only to record a violation.
+    k and N are taken as Python ints, so no check runs in fixed-width numpy
+    integers.
     """
-    k = _grid_integer("k", k)
-    N = _grid_integer("N", N)
-    require_classes(k)
-    if N < 1:
-        raise OutOfRangeError(f"grid resolution N={N} must be >= 1")
-    count = math.comb(N + k - 1, k - 1)
-    if count > GRID_LIMIT:
-        raise TooLargeError(f"C({N + k - 1},{k - 1}) = {count} profiles exceeds {GRID_LIMIT}")
+    k = require_classes(k)
+    N = integer_at_least(N, "N", 1)
+    require_at_most(math.comb(N + k - 1, k - 1), GRID_LIMIT, "grid profiles")
 
     ranks = range(k - 1, -k, -2)
     segments = _upper_segments(k, N)

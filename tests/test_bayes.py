@@ -46,6 +46,16 @@ class TestClassifierError:
         with pytest.raises(OutOfRangeError):
             classifier_error(EXAMPLE, Classifier(np.array([1, 3])))
 
+    def test_labels_from_a_list_are_stored_as_an_array(self):
+        clf = Classifier(labels=[1, 2])
+        assert isinstance(clf.labels, np.ndarray) and not clf.labels.flags.writeable
+        assert classifier_error(EXAMPLE, clf) == classifier_error(EXAMPLE, Classifier(np.array([1, 2])))
+
+    @pytest.mark.parametrize("labels", [[1.5, 2.0], [1.0, 2.0], [True, False]])
+    def test_non_integer_labels_out_of_range(self, labels):
+        with pytest.raises(OutOfRangeError, match=r"labels must be integers in 1\.\.2"):
+            classifier_error(EXAMPLE, Classifier(np.array(labels)))
+
 
 class TestBayesClassifier:
     def test_example_model(self):

@@ -193,6 +193,12 @@ def test_q_must_be_a_sequence_of_reals():
         exponential_profile(3, "0.3")
 
 
+@pytest.mark.parametrize("eps", [[0.01], [0.01, 0.02, 0.03]])
+def test_three_class_sequences_of_unequal_length_refused(eps):
+    with pytest.raises(BadParamError, match="p and eps must match in length"):
+        three_class_profiles([0.1, 0.2], eps)
+
+
 @pytest.mark.parametrize("p, eps", [(0.7, 0.3), (0.3, 0.2), (0.6, 0.1), (math.nan, 0.1), (0.3, math.nan)])
 def test_three_class_domain_refused_as_the_scalar_refuses_it(p, eps):
     assert_same_refusal(

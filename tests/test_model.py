@@ -1,6 +1,7 @@
 """Model validation, marginals, posteriors, file round-trips, and argument domains."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from misbounds import (
+    BadParamError,
     DeltaValue,
     EntropyValue,
     JointModel,
@@ -16,9 +18,11 @@ from misbounds import (
     NegativeEntryError,
     ParseError,
     TooFewClassesError,
+    TooLargeError,
     ZeroMarginalError,
     extremal_high_profile,
     extremal_low_profile,
+    fig1_rows,
     load_model,
     lower_bound,
     lower_fm,
@@ -33,7 +37,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.model import clamp, clamp_array
+from misbounds.model import clamp, clamp_array, require_at_most, require_classes
 
 EXAMPLE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -80,6 +84,15 @@ class TestValidateJoint:
         m = validate_joint([[0.5, 0.0], [0.5, 0.0]])
         assert m.n == 2
 
+    @pytest.mark.parametrize("raw", [[[0.5, 0.25], [0.25]], "abc", [["0.5", "x"], ["0.5", "0"]], {"w": 1}])
+    def test_entries_that_are_not_a_matrix_of_numbers_are_a_parse_error(self, raw):
+        with pytest.raises(ParseError, match="expected numbers in a rectangular array"):
+            validate_joint(raw)
+
+    def test_missing_entry_prints_as_a_python_float(self):
+        with pytest.raises(NegativeEntryError, match=r"^entry at row 1, col 1 is nan; entries must be >= 0$"):
+            validate_joint([[None, 0.5], [0.25, 0.25]])
+
 
 class TestValidateProfile:
     def test_accepts_and_wraps(self):
@@ -111,6 +124,7 @@ K_ENTRIES = {
     "EntropyValue": lambda k: EntropyValue(h=0.0, k=k),
     "phi": lambda k: phi(k, 0.0),
     "lower_fm": lambda k: lower_fm(k, 0.0),
+    "fig1_rows": lambda k: fig1_rows(k),
 }
 
 
@@ -120,6 +134,25 @@ def test_every_k_entry_refuses_too_few_classes(entry, k):
     with pytest.raises(TooFewClassesError, match=f"need at least 2 classes, got k={k}"):
         K_ENTRIES[entry](k)
     K_ENTRIES[entry](2)  # the same call is legal with two classes
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("entry", sorted(K_ENTRIES))
+def test_every_k_entry_refuses_a_non_integer_class_count(entry, k):
+    with pytest.raises(BadParamError, match=f"^k={re.escape(repr(k))} must be an integer >= 2$"):
+        K_ENTRIES[entry](k)
+
+
+def test_class_count_comes_back_a_python_int():
+    for k in (3, np.int64(3), np.uint8(3)):
+        assert type(require_classes(k)) is int and require_classes(k) == 3
+
+
+@pytest.mark.parametrize("count", [11, 10.5, math.nan, math.inf, 10**400])
+def test_size_guard_refuses_past_the_limit_and_nan(count):
+    with pytest.raises(TooLargeError, match=f"^too many rows: {re.escape(str(count))}, over the limit of 10$"):
+        require_at_most(count, 10, "rows")
+    require_at_most(10, 10, "rows")
 
 
 class TestClamp:
@@ -285,6 +318,17 @@ class TestFileIO:
         path.write_text("0.4,0.1\n0.5\n")
         with pytest.raises(ParseError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [('{"w": [[0.5, 0.25], [0.25]]}', ParseError), ('{"w": [[null, 0.5], [0.25, 0.25]]}', NegativeEntryError)],
+    )
+    def test_json_ragged_or_null_entries_refused(self, tmp_path, text, error):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_model(path)
+        assert "np.float64" not in str(info.value)
 
     def test_json_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -43,6 +43,8 @@ from misbounds.report import (
     _cell,
     _check_chain,
     _profile_columns,
+    fig1_table,
+    fig2_table,
     fig3_table,
     log10_or_none,
     random_model,
@@ -432,6 +434,24 @@ def test_oversized_grid_refused_before_allocating(sweep):
     assert peak < 10**6
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: fig1_table(2.5), "k"),
+        (lambda: fig3_table((2.7,)), "k"),
+        (lambda: fig2_table(points=2.5), "points"),
+        (lambda: compare_lo_rows(10.5), "k_max"),
+        (lambda: compare_hi_scan(2.0, 10.5), "k_max"),
+        (lambda: verify_sandwich(2.5), "count"),
+        (lambda: verify_sandwich(True), "count"),
+        (lambda: verify_brute_force(2.5), "count"),
+    ],
+)
+def test_non_integer_parameter_refused_by_name(call, name):
+    with pytest.raises(BadParamError, match=f"^{name}=.* must be an integer >= "):
+        call()
+
+
 class TestVerifySuites:
     def test_default_suites_all_pass(self):
         results = run_verify(seed=0, sandwich_count=500, brute_count=50)
@@ -588,6 +608,8 @@ class TestCli:
             ["fig3", "--q-step", "1e-12"],
             ["compare-hi", "--k", "1000000000000"],
             ["compare-lo", "--k", "1000000000"],
+            ["compare-lo", "--k", "1" + "0" * 400],
+            ["compare-hi", "--k", "1" + "0" * 400],
         ],
     )
     def test_oversized_grid_exits_one(self, argv, capsys):
@@ -595,6 +617,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
     def test_second_call_sees_its_own_defaults(self, capsys):
