@@ -93,8 +93,6 @@ def integer_at_least(value, name: str, least: int) -> int:
 
 def require_classes(k) -> int:
     """k as a Python int; refuses a non-integer, and a count below two, the least with a decision to make."""
-    if type(k) is int and k >= 2:  # the usual case, at a third of the cost of the checks below
-        return k
     try:
         number = integer(k)
     except TypeError:
@@ -137,7 +135,7 @@ def _floats(raw) -> np.ndarray:
     """raw as a float array; ragged rows and entries that are not numbers are a ParseError."""
     try:
         return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"expected numbers in a rectangular array: {exc}") from None
 
 

@@ -206,6 +206,7 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 def fig1_table(k: int, delta_step: float = 0.01) -> dict:
     """Bound curves (L, U, U_simpl) over the full separation range [0, k-1], as a column table."""
     k = require_classes(k)
+    require_at_most(k, GRID_LIMIT, "classes")
     if not 0.0 < delta_step < math.inf:
         raise BadParamError(f"delta_step={delta_step!r} must be positive and finite")
     columns = envelope_columns(k, _grid(0.0, float(k - 1), delta_step))

@@ -84,7 +84,9 @@ class TestValidateJoint:
         m = validate_joint([[0.5, 0.0], [0.5, 0.0]])
         assert m.n == 2
 
-    @pytest.mark.parametrize("raw", [[[0.5, 0.25], [0.25]], "abc", [["0.5", "x"], ["0.5", "0"]], {"w": 1}])
+    @pytest.mark.parametrize(
+        "raw", [[[0.5, 0.25], [0.25]], "abc", [["0.5", "x"], ["0.5", "0"]], {"w": 1}, [[10**400, 0], [0, 1]]]
+    )
     def test_entries_that_are_not_a_matrix_of_numbers_are_a_parse_error(self, raw):
         with pytest.raises(ParseError, match="expected numbers in a rectangular array"):
             validate_joint(raw)
@@ -321,7 +323,12 @@ class TestFileIO:
 
     @pytest.mark.parametrize(
         "text, error",
-        [('{"w": [[0.5, 0.25], [0.25]]}', ParseError), ('{"w": [[null, 0.5], [0.25, 0.25]]}', NegativeEntryError)],
+        [
+            ('{"w": [[0.5, 0.25], [0.25]]}', ParseError),
+            ('{"w": [[1%s, 0], [0, 1]]}' % ("0" * 400), ParseError),
+            ('{"w": [[null, 0.5], [0.25, 0.25]]}', NegativeEntryError),
+        ],
+        ids=["ragged", "past-float-range", "null"],
     )
     def test_json_ragged_or_null_entries_refused(self, tmp_path, text, error):
         path = tmp_path / "m.json"

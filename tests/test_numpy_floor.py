@@ -3,7 +3,10 @@
 The suite runs under whatever numpy is installed, so a name that numpy added
 later (np.vecdot, say) would pass every other test on numpy 2 and fail on
 1.24.  This test reads the source instead: it collects each np.<name> the
-package uses and refuses the names numpy added after 1.24.
+package uses and fails on any name outside FLOOR_CHECKED, the names known to
+exist in numpy 1.24.  A new name goes on that list only once its numpy 1.24
+documentation has been read.  Keywords (np.sort(..., stable=True)) and array
+attributes (a.mT) are not seen here.
 """
 
 import ast
@@ -13,19 +16,15 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "misbounds"
 
-# Names numpy added after 1.24: dtypes and exceptions in 1.25, the array-API
-# aliases and functions in 2.0, unstack and the cumulative ones in 2.1, matvec
-# and vecmat in 2.2.  Dotted names are submodule attributes.
-NEWER_THAN_FLOOR = {
-    "dtypes", "exceptions",
-    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh",
-    "astype", "bitwise_count", "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift",
-    "bool", "concat", "isdtype", "long", "ulong", "matrix_transpose", "permute_dims", "pow",
-    "strings", "trapezoid", "unique_all", "unique_counts", "unique_inverse", "unique_values",
-    "vecdot", "cumulative_prod", "cumulative_sum", "unstack", "matvec", "vecmat",
-    "linalg.cross", "linalg.diagonal", "linalg.matmul", "linalg.matrix_norm",
-    "linalg.matrix_transpose", "linalg.outer", "linalg.svdvals", "linalg.tensordot",
-    "linalg.trace", "linalg.vecdot", "linalg.vector_norm",
+# Every name the package reads off numpy, each present in numpy 1.24.  Dotted
+# names are attributes of a submodule or of a ufunc.
+FLOOR_CHECKED = {
+    "abs", "add", "add.accumulate", "all", "any", "append", "arange", "argmax", "argmin",
+    "argwhere", "array", "asarray", "ascontiguousarray", "broadcast_arrays", "ceil",
+    "errstate", "exp", "finfo", "full", "indices", "inf", "int64", "integer", "linspace",
+    "log", "log1p", "log2", "matmul", "maximum", "min", "ndarray", "random",
+    "random.Generator", "random.default_rng", "repeat", "round", "shape", "sort", "stack",
+    "swapaxes", "unravel_index", "where", "zeros", "zeros_like",
 }
 
 
@@ -52,8 +51,8 @@ def test_the_package_source_is_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_numpy_names_exist_at_the_declared_floor(path):
-    used = numpy_names(ast.parse(path.read_text()))
-    assert not used & NEWER_THAN_FLOOR, f"{path.name} uses numpy names added after 1.24"
+    unchecked = numpy_names(ast.parse(path.read_text())) - FLOOR_CHECKED
+    assert not unchecked, f"{path.name} uses numpy names not checked against numpy 1.24: {sorted(unchecked)}"
 
 
 def test_walker_sees_plain_and_submodule_names():

@@ -610,6 +610,7 @@ class TestCli:
             ["compare-lo", "--k", "1000000000"],
             ["compare-lo", "--k", "1" + "0" * 400],
             ["compare-hi", "--k", "1" + "0" * 400],
+            ["fig1", "--k", "1" + "0" * 400],
         ],
     )
     def test_oversized_grid_exits_one(self, argv, capsys):
