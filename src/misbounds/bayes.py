@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError, OutOfRangeError
-from .model import JointModel, require_at_most
+from .model import SIZE_LIMIT, JointModel, require_at_most
 
-BRUTE_FORCE_LIMIT = 10**7
 BRUTE_FORCE_CHUNK = 4096
 SHORT_RUN = 64
 
@@ -94,13 +93,13 @@ def brute_force_bayes_error(model: JointModel) -> float:
 
     All k^n label assignments are scored in vectorized chunks, each by its
     miss mass gathered from the table (1 - I) @ w, whose entry (y, x) is
-    column x's mass off label y; refuses instances past BRUTE_FORCE_LIMIT
+    column x's mass off label y; refuses instances past SIZE_LIMIT
     rules.  Exists as an independent check of bayes_error, so it
     deliberately shares no logic with it.
     """
     k, n = model.k, model.n
     total = k**n
-    require_at_most(total, BRUTE_FORCE_LIMIT, "rules")
+    require_at_most(total, SIZE_LIMIT, "rules")
     miss = _miss_table(model.w)
     radix = k ** np.arange(n, dtype=np.int64)
     cols = np.arange(n)

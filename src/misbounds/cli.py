@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (MisboundsError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (MisboundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     _emit(text, args.out)

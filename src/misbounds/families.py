@@ -20,9 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import BadParamError, BadPermutationError, BadWeightsError, OutOfDomainError
-from .model import MASS_TOL, JointModel, PosteriorProfile, clamp_array, integer, integer_at_least, require_at_most, validate_profile
-
-PROFILE_SIZE_LIMIT = 10**7
+from .model import MASS_TOL, SIZE_LIMIT, JointModel, PosteriorProfile, clamp_array, integer, integer_at_least, require_at_most, require_classes, validate_profile
 
 
 class DomainWarning(UserWarning):
@@ -75,7 +73,7 @@ def binomial_profiles(m: int, qs) -> np.ndarray:
     m = integer_at_least(m, "m", 1)
     q = _open_unit(qs)[:, None]
     # 2^m entries fit under the limit exactly when m is below the limit's bit length
-    require_at_most(m, PROFILE_SIZE_LIMIT.bit_length() - 1, "binomial trials")
+    require_at_most(m, SIZE_LIMIT.bit_length() - 1, "binomial trials")
     j = np.arange(m + 1)
     values = (1.0 - q) ** j * q ** (m - j)
     counts = [math.comb(m, int(jj)) for jj in j]
@@ -118,9 +116,9 @@ def exponential_profiles(k: int, qs) -> np.ndarray:
     shifted scale, exp(log term - largest log term), over their sum.  The
     per-q logarithms come from the math module, as _geometric_sum's powers do.
     """
-    k = integer_at_least(k, "k", 2)
+    k = require_classes(k)
     q = _open_unit(qs)
-    require_at_most(k, PROFILE_SIZE_LIMIT, "classes")
+    require_at_most(k, SIZE_LIMIT, "classes")
     i = np.arange(1, k + 1, dtype=float)
     lead, tail = i - 1.0, k - i
     q_values = q.tolist()
@@ -184,7 +182,7 @@ def comp_lo_profile(k: int, ell: int) -> PosteriorProfile:
     ell = integer_at_least(ell, "ell", 2)
     if ell > k:
         raise BadParamError(f"ell={ell!r} must be an integer in 2..{k}")
-    require_at_most(k, PROFILE_SIZE_LIMIT, "classes")
+    require_at_most(k, SIZE_LIMIT, "classes")
     if ell not in comp_lo_guaranteed(k):
         warnings.warn(
             f"ell={ell} is outside the guaranteed set for k={k}; "
@@ -212,7 +210,7 @@ def _require_comp_hi_params(k, nu: float) -> None:
 def comp_hi_profile(k: int, nu: float) -> PosteriorProfile:
     """One dominant entry 1-(nu-1)/k over a flat tail; separation k - nu."""
     _require_comp_hi_params(k, nu)
-    require_at_most(k, PROFILE_SIZE_LIMIT, "classes")
+    require_at_most(k, SIZE_LIMIT, "classes")
     a = np.full(k, (nu - 1.0) / (k * (k - 1.0)))
     a[0] = 1.0 - (nu - 1.0) / k
     return PosteriorProfile(a=a)

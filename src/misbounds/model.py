@@ -102,6 +102,10 @@ def require_classes(k) -> int:
     return number
 
 
+# The one work limit: no grid, stack, scan or enumeration may hold more entries.
+SIZE_LIMIT = 10**7
+
+
 def require_at_most(count, limit, what: str) -> None:
     """Refuse a count of `what` above limit, NaN included; the message is built only then."""
     if not count <= limit:
@@ -198,30 +202,22 @@ def posterior(model: JointModel, x: int) -> PosteriorProfile:
 # Floats are written with repr() so save -> load round-trips exactly.
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        return fmt
-    return "json" if path.suffix.lower() == ".json" else "csv"
-
-
-def load_model(path, fmt: str | None = None) -> JointModel:
-    """Load and validate a model from a CSV or JSON file."""
+def load_model(path) -> JointModel:
+    """Load and validate a model from a JSON file (a .json suffix) or else a CSV file."""
     path = Path(path)
-    fmt = _infer_format(path, fmt)
     text = path.read_text()
-    if fmt == "json":
+    if path.suffix.lower() == ".json":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(doc, dict) or "w" not in doc:
             raise ParseError(f"{path}: JSON model must be an object with a 'w' field")
-        rows = doc["w"]
-        if "k" in doc and len(rows) != doc["k"]:
-            raise ParseError(f"{path}: 'k'={doc['k']} but 'w' has {len(rows)} rows")
-        if "n" in doc and rows and len(rows[0]) != doc["n"]:
-            raise ParseError(f"{path}: 'n'={doc['n']} but rows have {len(rows[0])} columns")
-        return validate_joint(rows)
+        model = validate_joint(doc["w"])
+        for key, size in (("k", model.k), ("n", model.n)):
+            if key in doc and doc[key] != size:
+                raise ParseError(f"{path}: {key!r}={doc[key]!r} but 'w' is {model.k} x {model.n}")
+        return model
 
     rows: list[list[float]] = []
     width = None
@@ -249,11 +245,10 @@ def load_model(path, fmt: str | None = None) -> JointModel:
     return validate_joint(rows)
 
 
-def save_model(model: JointModel, path, fmt: str | None = None) -> None:
-    """Write a model to CSV or JSON at full precision."""
+def save_model(model: JointModel, path) -> None:
+    """Write a model at full precision, as JSON for a .json suffix and as CSV otherwise."""
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    if fmt == "json":
+    if path.suffix.lower() == ".json":
         doc = {"k": model.k, "n": model.n, "w": [[float(v) for v in row] for row in model.w]}
         path.write_text(json.dumps(doc, indent=None, separators=(",", ":")) + "\n")
     else:

@@ -37,16 +37,14 @@ from .entropy import (
 )
 from .errors import BadParamError, InvariantViolationError
 from .families import (
-    PROFILE_SIZE_LIMIT,
     binomial_profiles,
     comp_hi_stats,
     comp_lo_guaranteed,
     exponential_profiles,
     three_class_profiles,
 )
-from .model import JointModel, PosteriorProfile, integer_at_least, require_at_most, require_classes, validate_joint
+from .model import SIZE_LIMIT, JointModel, PosteriorProfile, integer_at_least, require_at_most, require_classes, validate_joint
 from .tv_bounds import (
-    GRID_LIMIT,
     delta,
     delta_of_profile,
     envelope_columns,
@@ -195,7 +193,7 @@ def table_rows(table: dict) -> list:
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive grid from lo to hi; lands exactly on hi when step divides."""
     steps = (hi - lo) / step
-    require_at_most(steps + 1, GRID_LIMIT, "grid points")
+    require_at_most(steps + 1, SIZE_LIMIT, "grid points")
     count = round(steps)
     if count >= 1 and abs(lo + count * step - hi) <= 1e-9:
         return np.linspace(lo, hi, count + 1)
@@ -206,7 +204,7 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 def fig1_table(k: int, delta_step: float = 0.01) -> dict:
     """Bound curves (L, U, U_simpl) over the full separation range [0, k-1], as a column table."""
     k = require_classes(k)
-    require_at_most(k, GRID_LIMIT, "classes")
+    require_at_most(k, SIZE_LIMIT, "classes")
     if not 0.0 < delta_step < math.inf:
         raise BadParamError(f"delta_step={delta_step!r} must be positive and finite")
     columns = envelope_columns(k, _grid(0.0, float(k - 1), delta_step))
@@ -233,7 +231,7 @@ def fig2_table(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> dict:
     """Three-class log-scale sweep as a column table: for each target error p, scan feasible eps."""
     points = integer_at_least(points, "points", 1)
     p_list = list(p_list)
-    require_at_most(len(p_list) * points, GRID_LIMIT, "rows")
+    require_at_most(len(p_list) * points, SIZE_LIMIT, "rows")
     p_column, eps_column = [], []
     for p in p_list:
         lo = max(2.0 * p - 1.0, 0.0)
@@ -268,7 +266,7 @@ def fig3_table(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> dict:
         raise BadParamError(f"q_step={q_step!r} must lie in (0, 0.5]")
     q_grid = _grid(q_step, 0.5, q_step).tolist()
     k_list = [require_classes(k) for k in k_list]
-    require_at_most(2 * len(k_list) * len(q_grid), GRID_LIMIT, "rows")
+    require_at_most(2 * len(k_list) * len(q_grid), SIZE_LIMIT, "rows")
     table = {name: [] for name in ("family", "k", "q", *FIG3_COLUMNS)}
     for family in ("binomial", "exponential"):
         for k in k_list:
@@ -279,8 +277,8 @@ def fig3_table(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> dict:
                 stack = functools.partial(binomial_profiles, m)
             else:
                 stack = functools.partial(exponential_profiles, k)
-            # stacks of at most PROFILE_SIZE_LIMIT entries keep memory linear in k
-            chunk = max(1, PROFILE_SIZE_LIMIT // k)
+            # stacks of at most SIZE_LIMIT entries keep memory linear in k
+            chunk = max(1, SIZE_LIMIT // k)
             for start in range(0, len(q_grid), chunk):
                 qs = q_grid[start : start + chunk]
                 columns = _profile_columns(k, stack(qs))
@@ -316,7 +314,7 @@ def compare_lo_rows(k_max: int = 50, k_min: int = 3) -> list:
     k_max = integer_at_least(k_max, "k_max", k_min)
     # comp_lo_guaranteed gives three support sizes for every k >= 10
     extra = sum(len(comp_lo_guaranteed(k)) - 3 for k in range(k_min, min(k_max, 9) + 1))
-    require_at_most(3 * (k_max - k_min + 1) + extra, GRID_LIMIT, "rows")
+    require_at_most(3 * (k_max - k_min + 1) + extra, SIZE_LIMIT, "rows")
     rows = []
     for k in range(k_min, k_max + 1):
         for ell in sorted(comp_lo_guaranteed(k)):
@@ -366,13 +364,13 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
     U(delta) stays at or above 1 - 1/floor(nu) while U_FM(H) decays to 0 as
     k grows, so a crossover must appear; the scan reports the first k where
     it does.  Entropy and separation come from closed forms, evaluated over
-    the whole k range as arrays; at most GRID_LIMIT class counts are scanned.
+    the whole k range as arrays; at most SIZE_LIMIT class counts are scanned.
     """
     if not 1.0 < nu < math.inf:
         raise BadParamError(f"nu={nu!r} must be finite and exceed 1")
     k_start = math.floor(nu) + 1
     k_max = integer_at_least(k_max, "k_max", k_start)
-    require_at_most(k_max - k_start + 1, GRID_LIMIT, "class counts")
+    require_at_most(k_max - k_start + 1, SIZE_LIMIT, "class counts")
     ks = np.arange(k_start, k_max + 1)
     stats = comp_hi_stats(ks, nu)
     columns = {
@@ -411,15 +409,22 @@ def random_model(rng: np.random.Generator, k: int, n: int) -> JointModel:
 
 
 def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
-    """Both bound chains on random models; reports the worst slack seen."""
+    """Both bound chains on random models; reports the worst slack seen.
+
+    A refused report is raised again with the seed, index, k and n of its model.
+    """
     count = integer_at_least(count, "count", 1)
     rng = np.random.default_rng(seed)
     worst = math.inf
     worst_site = None
-    for _ in range(count):
+    for index in range(count):
         k = int(rng.integers(2, 9))
         n = int(rng.integers(1, 7))
-        rep = BoundsReport.from_model(random_model(rng, k, n))
+        model = random_model(rng, k, n)
+        try:
+            rep = BoundsReport.from_model(model)
+        except InvariantViolationError as exc:
+            raise InvariantViolationError(f"sandwich seed {seed}, model {index} (k={k}, n={n}): {exc}") from exc
         for name, slack in rep.slacks:
             if slack < worst:
                 worst = slack
@@ -433,9 +438,9 @@ def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
     }
 
 
-def verify_oracle(pairs=((2, 50), (3, 30), (4, 15), (5, 20), (6, 12))) -> dict:
+def verify_oracle() -> dict:
     """Exact simplex grids, checked in integers; zero violations required."""
-    reports = [simplex_grid_oracle(k, N) for k, N in pairs]
+    reports = [simplex_grid_oracle(k, N) for k, N in ((2, 50), (3, 30), (4, 15), (5, 20), (6, 12))]
     return {
         "suite": "oracle",
         "checked": sum(r.checked for r in reports),
@@ -448,12 +453,12 @@ def verify_oracle(pairs=((2, 50), (3, 30), (4, 15), (5, 20), (6, 12))) -> dict:
     }
 
 
-def verify_extremal(k_values=range(2, 9), step: float = 0.01) -> dict:
-    """Extremal profiles must reproduce their target separation and bound."""
+def verify_extremal() -> dict:
+    """Extremal profiles must reproduce their target separation and bound, for k = 2..8."""
     worst = 0.0
     checked = 0
-    for k in k_values:
-        for d in _grid(0.0, float(k - 1), step):
+    for k in range(2, 9):
+        for d in _grid(0.0, float(k - 1), 0.01):
             d = float(d)
             low = extremal_low_profile(k, d)
             high = extremal_high_profile(k, d)

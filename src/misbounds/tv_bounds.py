@@ -14,7 +14,6 @@ Fractions appear only in the violations it reports.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -23,15 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfRangeError
-from .model import JointModel, PosteriorProfile, clamp, clamp_array, integer_at_least, require_at_most, require_classes
+from .model import SIZE_LIMIT, JointModel, PosteriorProfile, clamp, clamp_array, integer_at_least, require_at_most, require_classes
 
 # Ceil is discontinuous, so a value that lands on an integer up to
 # representation error (a separation of 2.0000000000000004, or exp(H) at an
 # entropy knot ln m) must be snapped before rounding up, or the whole
 # interpolation segment shifts.
 INTEGER_SNAP = 1e-9
-
-GRID_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -178,27 +175,6 @@ class OracleReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "N": self.N,
-                "checked": self.checked,
-                "low_equalities": self.low_equalities,
-                "high_equalities": self.high_equalities,
-                "violations": [
-                    {
-                        "profile": [str(c) for c in v[0]],
-                        "delta": str(v[1]),
-                        "value": str(v[2]),
-                        "bound": str(v[3]),
-                        "side": v[4],
-                    }
-                    for v in self.violations
-                ],
-            }
-        )
-
 
 def _compositions(total: int, parts: int):
     """All ordered tuples of `parts` nonnegative ints summing to `total`."""
@@ -277,7 +253,7 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     """
     k = require_classes(k)
     N = integer_at_least(N, "N", 1)
-    require_at_most(math.comb(N + k - 1, k - 1), GRID_LIMIT, "grid profiles")
+    require_at_most(math.comb(N + k - 1, k - 1), SIZE_LIMIT, "grid profiles")
 
     ranks = range(k - 1, -k, -2)
     segments = _upper_segments(k, N)

@@ -14,6 +14,7 @@ from misbounds import (
     JointModel,
     OutOfDomainError,
     PosteriorProfile,
+    TooFewClassesError,
     TooLargeError,
     bayes_error,
     binomial_profile,
@@ -171,7 +172,7 @@ class TestExponentialProfile:
                 )
 
     def test_parameter_validation(self):
-        with pytest.raises(BadParamError):
+        with pytest.raises(TooFewClassesError):
             exponential_profile(1, 0.3)
         with pytest.raises(BadParamError):
             exponential_profile(3, 1.2)

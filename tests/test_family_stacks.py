@@ -163,7 +163,7 @@ def test_boolean_q_refused():
             build(3, True)
 
 
-@pytest.mark.parametrize("k", [True, False, 1, 3.0, 2.5, "8", None])
+@pytest.mark.parametrize("k", [True, False, 3.0, 2.5, "8", None])
 def test_bad_k_refused_as_the_scalar_refuses_it(k):
     message = assert_same_refusal(
         BadParamError, lambda: exponential_profiles(k, [0.3]), lambda: exponential_profile(k, 0.3)

@@ -22,6 +22,8 @@ from misbounds import (
     ZeroMarginalError,
     extremal_high_profile,
     extremal_low_profile,
+    exponential_profile,
+    exponential_profiles,
     fig1_rows,
     load_model,
     lower_bound,
@@ -127,6 +129,8 @@ K_ENTRIES = {
     "phi": lambda k: phi(k, 0.0),
     "lower_fm": lambda k: lower_fm(k, 0.0),
     "fig1_rows": lambda k: fig1_rows(k),
+    "exponential_profile": lambda k: exponential_profile(k, 0.3),
+    "exponential_profiles": lambda k: exponential_profiles(k, [0.3]),
 }
 
 
@@ -327,8 +331,12 @@ class TestFileIO:
             ('{"w": [[0.5, 0.25], [0.25]]}', ParseError),
             ('{"w": [[1%s, 0], [0, 1]]}' % ("0" * 400), ParseError),
             ('{"w": [[null, 0.5], [0.25, 0.25]]}', NegativeEntryError),
+            ('{"w": 5, "k": 2}', ParseError),
+            ('{"w": [0.5, 0.5], "n": 2}', ParseError),
+            ('{"w": [[0.5], [0.5]], "k": 3}', ParseError),
+            ('{"w": [[0.5], [0.5]], "n": 2}', ParseError),
         ],
-        ids=["ragged", "past-float-range", "null"],
+        ids=["ragged", "past-float-range", "null", "scalar-w", "vector-w", "k-differs", "n-differs"],
     )
     def test_json_ragged_or_null_entries_refused(self, tmp_path, text, error):
         path = tmp_path / "m.json"

@@ -291,9 +291,9 @@ class TestCompareLo:
     @pytest.mark.parametrize("k_min, k_max", [(3, 3), (3, 50), (4, 12), (7, 8), (10, 30)])
     def test_row_limit_counts_the_rows_exactly(self, monkeypatch, k_min, k_max):
         count = len(compare_lo_rows(k_max=k_max, k_min=k_min))
-        monkeypatch.setattr(report, "GRID_LIMIT", count)
+        monkeypatch.setattr(report, "SIZE_LIMIT", count)
         assert len(compare_lo_rows(k_max=k_max, k_min=k_min)) == count
-        monkeypatch.setattr(report, "GRID_LIMIT", count - 1)
+        monkeypatch.setattr(report, "SIZE_LIMIT", count - 1)
         with pytest.raises(TooLargeError):
             compare_lo_rows(k_max=k_max, k_min=k_min)
 
@@ -485,6 +485,17 @@ class TestVerifySuites:
         result = verify_sandwich(count=200, seed=42)
         assert (result["worst_slack"], result["worst_site"]) == (slack, site)
 
+    def test_sandwich_failure_names_its_model(self, monkeypatch, capsys):
+        # seed 3 draws k = 7, n = 1 first; L_FM = 1 breaks its chain at once
+        monkeypatch.setattr(report, "lower_fm", lambda k, h: 1.0)
+        message = r"sandwich seed 3, model 0 \(k=7, n=1\): L_FM<=p\* violated by "
+        with pytest.raises(InvariantViolationError, match=f"^{message}"):
+            verify_sandwich(count=5, seed=3)
+        assert main(["verify", "--suite", "sandwich", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(f"verification failure: {message}[^\n]*\n$", captured.err)
+
     @pytest.mark.parametrize("suite", [verify_sandwich, verify_brute_force])
     @pytest.mark.parametrize("count", [0, -5])
     def test_count_below_one_rejected(self, suite, count):
@@ -638,6 +649,17 @@ class TestCli:
         monkeypatch.setattr(cli, "_build_parser", refuse)
         assert main(["compare-lo", "--k", "5"]) == 0
         assert capsys.readouterr().out.startswith("k,ell,d,")
+
+    @pytest.mark.parametrize("text", ['{"w": 5, "k": 2}', '{"w": [0.5, 0.5], "n": 2}'])
+    def test_report_malformed_json_model_exits_one(self, tmp_path, text, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_report_requires_exactly_one_input(self, capsys):
         assert main(["report"]) == 1

@@ -1,6 +1,5 @@
 """Separation statistic, its bound chain, extremal profiles, rational oracle."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -312,12 +311,6 @@ class TestSimplexGridOracle:
         r = simplex_grid_oracle(np.int64(4), np.uint8(15))
         assert type(r.k) is int and type(r.N) is int
         assert r == simplex_grid_oracle(4, 15)
-
-    def test_report_serializes_to_json(self):
-        r = simplex_grid_oracle(3, 6)
-        doc = json.loads(r.to_json())
-        assert doc["checked"] == 28
-        assert doc["violations"] == []
 
     def test_extremal_grid_points_counted_as_equalities(self):
         # N=6, k=3: (4,1,1)/6 matches the lifted-flat pattern with d=1
