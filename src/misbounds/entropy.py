@@ -5,9 +5,12 @@ models, profiles and stacks alike, pins the Bayes error between the
 Feder-Merhav bounds: the lower bound inverts the strictly increasing map
 phi(p) = p ln(k-1) + h2(p) by a safeguarded Newton iteration that is
 accurate relative to p, so it stays a lower bound for tiny p*, and the upper
-bound is piecewise linear in H with knots at ln m.  Renyi conditional
-entropy (base 2) exists only to evaluate a published two-class fixture on
-which a claimed entropy upper bound goes negative, refuting it.
+bound is piecewise linear in H with knots at ln m.  Each bound has a column
+form for sweeps, lower_fm_array and upper_fm_array; lower_fm_array runs the
+same iteration over every entry at once and returns lower_fm's floats bit
+for bit.  Renyi conditional entropy (base 2) exists only to evaluate a
+published two-class fixture on which a claimed entropy upper bound goes
+negative, refuting it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     NegativeEntropyError,
     OutOfRangeError,
 )
-from .model import JointModel, PosteriorProfile, clamp, clamp_array, require_classes, validate_joint
+from .model import JointModel, PosteriorProfile, clamp, clamp_array, require_class_counts, require_classes, validate_joint
 from .tv_bounds import INTEGER_SNAP, snapped_ceil, snapped_ceil_array
 
 # Domain-edge slack for entropy arguments; beyond it the input is an error,
@@ -38,6 +41,16 @@ LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # only a safety net, since it converges in a handful of steps.
 NEWTON_MAX_ITER = 50
 _FOUR_ULPS = 4.0 * math.ulp(1.0)
+
+
+def _math_map(f):
+    """f of the math module on each entry of a 1-D array.
+
+    numpy's log and log1p can differ from the math module's in the last bit,
+    while +, -, * and / round alike in both, so a formula fed these maps
+    gives each entry exactly the float it gives that entry alone.
+    """
+    return lambda a: np.array(list(map(f, a.tolist())))
 
 
 @dataclass(frozen=True)
@@ -111,20 +124,45 @@ def phi(k: int, p: float) -> float:
     return p * math.log(k - 1) + _h2(p)
 
 
+def _seed_near_top(k: int, gap, sqrt):
+    """The root of the quadratic ln k - h = k^2/(2(k-1)) (1-1/k-p)^2 at gap = ln k - h."""
+    return 1.0 - 1.0 / k - sqrt(2.0 * (k - 1) * gap) / k
+
+
+def _seed_small(h, log_km1: float, log):
+    """The small-p asymptote p = h / (1 + ln(k-1) + ln(1/p)), iterated twice from p = h.
+
+    The second pass writes ln p1 = ln h - ln(1 + ln(k-1) - ln h), so no
+    logarithm is taken of an iterate that may have underflowed.
+    """
+    first = 1.0 + log_km1 - log(h)
+    return h / (first + log(first))
+
+
+def _newton_step(p, h, log_km1: float, rounding, log, log1p) -> tuple:
+    """(residual, step, done) of one Newton step on phi(p) = h, for floats or arrays alike.
+
+    residual = phi(p) - h and phi'(p) = ln((k-1)(1-p)/p).  The iteration is
+    done when the step is within a few ulps of p, or when the residual is
+    down to `rounding`, four ulps of h, the rounding level of phi itself;
+    near the top, where phi is flat, only the second test can end it.
+    """
+    log_p = log(p)
+    log_q = log1p(-p)
+    residual = p * (log_km1 - log_p) - (1.0 - p) * log_q - h
+    step = residual / (log_km1 + log_q - log_p)
+    return residual, step, (abs(step) <= _FOUR_ULPS * p) | (abs(residual) <= rounding)
+
+
 def _phi_inverse(k: int, h: float) -> tuple:
     """Root of phi(k, p) = h for 0 < h < ln k, by bracketed Newton iteration.
 
     phi is concave and increasing, with phi'(p) = ln((k-1)(1-p)/p).  A
     Newton step from left of the root stays left of it; one from the right
     can overshoot, and a step that leaves the bracket [lo, hi] is replaced
-    by the bracket midpoint.  The seed is the small-p asymptote
-    p = h / (1 + ln(k-1) + ln(1/p)), iterated twice from p = h, or, near
-    the top, the quadratic ln k - h = k^2/(2(k-1)) (1-1/k-p)^2.
-
-    Iteration stops when the Newton step is within a few ulps of p, or when
-    the residual is down to the rounding level of phi itself; near the top,
-    where phi is flat, only the second test can end it.  Returns
-    (p, iterations, residual) with residual = phi(p) - h.
+    by the bracket midpoint.  The seed is the small-p asymptote or, near
+    the top, the quadratic.  The iteration stops as _newton_step says.
+    Returns (p, iterations, residual) with residual = phi(p) - h.
     """
     top = 1.0 - 1.0 / k
     log_km1 = math.log(k - 1)
@@ -132,23 +170,17 @@ def _phi_inverse(k: int, h: float) -> tuple:
     # the quadratic dominates phi's expansion about the top while p is within
     # about 1/k of it, that is for gap below about 1/(2k)
     if gap < 0.5 / k:
-        p = top - math.sqrt(2.0 * (k - 1) * gap) / k
+        p = _seed_near_top(k, gap, math.sqrt)
     else:
-        # the second pass writes ln p1 = ln h - ln(1 + ln(k-1) - ln h), so no
-        # logarithm is taken of an iterate that may have underflowed
-        first = 1.0 + log_km1 - math.log(h)
-        p = h / (first + math.log(first))
+        p = _seed_small(h, log_km1, math.log)
         if p == 0.0:
             # the root lies below the smallest subnormal double
             return 0.0, 0, -h
     lo, hi = 0.0, top
     rounding = 4.0 * math.ulp(h)
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        log_p = math.log(p)
-        log_q = math.log1p(-p)
-        residual = p * (log_km1 - log_p) - (1.0 - p) * log_q - h
-        step = residual / (log_km1 + log_q - log_p)
-        if abs(step) <= _FOUR_ULPS * p or abs(residual) <= rounding:
+        residual, step, done = _newton_step(p, h, log_km1, rounding, math.log, math.log1p)
+        if done:
             break
         if residual < 0.0:
             lo = p
@@ -176,6 +208,51 @@ def lower_fm(k: int, h: float) -> float:
     if math.log(k) - h <= H_SLACK:
         return 1.0 - 1.0 / k
     return _phi_inverse(k, h)[0]
+
+
+def lower_fm_array(k: int, h) -> np.ndarray:
+    """lower_fm(k, x) for every entry x of an entropy array, bit for bit, in one Newton pass.
+
+    Entries are clamped and sorted out as lower_fm does it; every interior
+    entry gets _phi_inverse's seed, its own bracket and its own stop test, and
+    is frozen at the iteration where the scalar loop would stop.  The
+    logarithms are the math module's, mapped over the entries still live.
+    """
+    k = require_classes(k)
+    log_k = math.log(k)
+    h = clamp_array(h, 0.0, log_k, H_SLACK, EntropyOutOfRangeError, "h")
+    top = 1.0 - 1.0 / k
+    shape, flat = h.shape, h.reshape(-1)
+    out = np.where(log_k - flat <= H_SLACK, top, 0.0)
+    index = np.arange(flat.size)[(flat > 0.0) & (log_k - flat > H_SLACK)]
+    h = flat[index]
+    log_km1 = math.log(k - 1)
+    log, log1p = _math_map(math.log), _math_map(math.log1p)
+    near_top = log_k - h < 0.5 / k
+    p = np.zeros(h.size)
+    p[near_top] = _seed_near_top(k, log_k - h[near_top], _math_map(math.sqrt))
+    p[~near_top] = _seed_small(h[~near_top], log_km1, log)
+    # a seed of 0 (only the small-p one underflows) is the answer, as in _phi_inverse
+    live = p > 0.0
+    p, h, index = p[live], h[live], index[live]
+    lo, hi = np.zeros(p.size), np.full(p.size, top)
+    rounding = 4.0 * _math_map(math.ulp)(h)
+    for _ in range(NEWTON_MAX_ITER):
+        residual, step, done = _newton_step(p, h, log_km1, rounding, log, log1p)
+        out[index[done]] = p[done]
+        live = ~done
+        p, h, index, lo, hi, rounding, residual, step = (
+            a[live] for a in (p, h, index, lo, hi, rounding, residual, step)
+        )
+        if not p.size:
+            break
+        below = residual < 0.0
+        lo = np.where(below, p, lo)
+        hi = np.where(below, hi, p)
+        p = p - step
+        p = np.where((lo < p) & (p < hi), p, 0.5 * (lo + hi))
+    out[index] = p
+    return out.reshape(shape)
 
 
 def upper_fm(h: float) -> float:
@@ -216,7 +293,7 @@ def entropy_columns(k, h) -> dict:
     k is one class count or an integer array of them, one per entropy; h is
     clamped as EntropyValue clamps it.
     """
-    require_classes(int(np.min(k)))
+    k = require_class_counts(k)
     h = clamp_array(h, 0.0, np.log(k), H_SLACK, EntropyOutOfRangeError, "h")
     return {"entropy_nats": h, "U_FM": upper_fm_array(h)}
 

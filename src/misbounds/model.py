@@ -102,6 +102,21 @@ def require_classes(k) -> int:
     return number
 
 
+def require_class_counts(k):
+    """require_classes for a column: one class count, or an integer array of them as int64.
+
+    A float or bool array is refused as require_classes refuses a float or a
+    bool; the scalar guard itself still refuses every array.  The counts are
+    widened to int64 so that k + 1 cannot wrap and log k is a double.
+    """
+    if not (isinstance(k, np.ndarray) and k.dtype.kind in "iu"):
+        return require_classes(k)
+    counts = k.astype(np.int64)
+    if counts.size and counts.min() < 2:
+        raise TooFewClassesError(f"need at least 2 classes, got k={counts.min()}")
+    return counts
+
+
 # The one work limit: no grid, stack, scan or enumeration may hold more entries.
 SIZE_LIMIT = 10**7
 

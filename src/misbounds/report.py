@@ -31,6 +31,7 @@ from .entropy import (
     entropy_of_profile,
     ep_counterexample_check,
     lower_fm,
+    lower_fm_array,
     phi,
     posterior_entropies,
     upper_fm,
@@ -170,9 +171,9 @@ def _profile_columns(k: int, profiles: np.ndarray) -> dict:
     """The fields of BoundsReport.from_profile, as columns, for a (B, k) stack of profiles.
 
     Each profile is a k x 1 model of the stack w whose one column has unit
-    mass, as from_profile takes it.  L_FM maps the scalar lower_fm over the
-    entropy column: an array phi-inverse would save little.  The chains are
-    checked before return.
+    mass, as from_profile takes it.  L_FM is lower_fm_array over the entropy
+    column, one Newton pass that gives each row lower_fm's float.  The chains
+    are checked before return.
     """
     w = profiles[..., None]
     columns = {
@@ -180,7 +181,7 @@ def _profile_columns(k: int, profiles: np.ndarray) -> dict:
         **entropy_columns(k, posterior_entropies(w, 1.0)),
         "p_star": error_of_labels(w, w.argmax(axis=-2)),
     }
-    columns["L_FM"] = np.array([lower_fm(k, h) for h in columns["entropy_nats"].tolist()])
+    columns["L_FM"] = lower_fm_array(k, columns["entropy_nats"])
     _check_chain(columns)
     return columns
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfRangeError
-from .model import SIZE_LIMIT, JointModel, PosteriorProfile, clamp, clamp_array, integer_at_least, require_at_most, require_classes
+from .model import SIZE_LIMIT, JointModel, PosteriorProfile, clamp, clamp_array, integer_at_least, require_at_most, require_class_counts, require_classes
 
 # Ceil is discontinuous, so a value that lands on an integer up to
 # representation error (a separation of 2.0000000000000004, or exp(H) at an
@@ -127,7 +127,7 @@ def envelope_columns(k, delta) -> dict:
     Clamping and the formulas are those of lower_bound, upper_bound and
     upper_bound_simpl, entry by entry.
     """
-    require_classes(int(np.min(k)))
+    k = require_class_counts(k)
     d = clamp_array(delta, 0.0, k - 1.0, INTEGER_SNAP, OutOfRangeError, "delta")
     return {
         "delta": d,

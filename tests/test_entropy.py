@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from misbounds import (
     BadBetaError,
+    BadParamError,
     EntropyOutOfRangeError,
     NegativeEntropyError,
     OutOfRangeError,
+    TooFewClassesError,
     conditional_entropy,
     entropy_of_profile,
     ep_counterexample_check,
@@ -27,7 +29,14 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.entropy import H_SLACK, LOG_FLOAT_MAX, _phi_inverse, upper_fm_array
+from misbounds.entropy import (
+    H_SLACK,
+    LOG_FLOAT_MAX,
+    _phi_inverse,
+    entropy_columns,
+    lower_fm_array,
+    upper_fm_array,
+)
 from misbounds.tv_bounds import _compositions
 
 # class counts spanning the binary case to a very wide alphabet
@@ -210,6 +219,84 @@ class TestPhiInverse:
                 _, iterations, residual = _phi_inverse(k, h)
                 assert iterations <= 10
                 assert abs(residual) <= 1e-14 * h
+
+
+def float_bits(values) -> list:
+    """Each float as its hex string, so that equality is bit for bit."""
+    return [float(x).hex() for x in values]
+
+
+class TestLowerFMArray:
+    @given(
+        k=st.integers(2, 10**6),
+        us=st.lists(st.floats(0.0, 1.0), max_size=30),
+        vs=st.lists(st.floats(0.0, 1.0), max_size=10),
+        ws=st.lists(st.floats(0.0, 1.0), max_size=30),
+    )
+    def test_equals_the_scalar_inverse_bit_for_bit(self, k, us, vs, ws):
+        # h log-uniform on [1e-320, ln k], the window ln k - 10^(-17..0) below the
+        # top, uniform on [0, ln k], and the edges: 0, ln k, and both sides of
+        # ln k - H_SLACK
+        log_k = math.log(k)
+        lo, hi = math.log(1e-320), math.log(log_k)
+        h = [min(math.exp(lo + u * (hi - lo)), log_k) for u in us]
+        h += [max(log_k - 10.0 ** (-17.0 * v), 0.0) for v in vs]
+        h += [w * log_k for w in ws]
+        edge = log_k - H_SLACK
+        h += [0.0, log_k, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+        got = lower_fm_array(k, np.array(h))
+        assert float_bits(got) == float_bits(lower_fm(k, x) for x in h)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_equals_the_scalar_inverse_on_a_dense_column(self, k):
+        # numpy's log and log1p differ from the math module's in the last bit
+        # on about 1% of inputs, and that reaches the root on a few in a
+        # thousand; a column this dense sees it if the inverse calls them
+        h = np.random.default_rng(k).uniform(0.0, math.log(k), 4000)
+        assert float_bits(lower_fm_array(k, h)) == float_bits(lower_fm(k, x) for x in h.tolist())
+
+    def test_root_below_the_smallest_subnormal_is_zero(self):
+        for k in (2, 10**6):
+            assert float_bits(lower_fm_array(k, np.array([5e-324]))) == float_bits([0.0])
+
+    def test_empty_column(self):
+        out = lower_fm_array(3, np.array([]))
+        assert out.shape == (0,) and out.dtype == float
+
+    def test_keeps_the_shape_of_its_input(self):
+        h = np.linspace(0.0, math.log(5), 12)
+        assert float_bits(lower_fm_array(5, h.reshape(3, 4)).reshape(-1)) == float_bits(lower_fm_array(5, h))
+
+    @pytest.mark.parametrize("k", [2, 7])
+    @pytest.mark.parametrize("bad", ["nan", "above", "below"])
+    def test_refuses_what_lower_fm_refuses(self, k, bad):
+        h = {"nan": math.nan, "above": math.log(k) + 2 * H_SLACK, "below": -2 * H_SLACK}[bad]
+        with pytest.raises(EntropyOutOfRangeError) as scalar:
+            lower_fm(k, h)
+        with pytest.raises(EntropyOutOfRangeError) as column:
+            lower_fm_array(k, np.array([0.5, h]))
+        assert str(column.value) == str(scalar.value)
+
+
+class TestEntropyColumns:
+    def test_one_class_count_per_entry(self):
+        # ln k is a double whatever the integer type: np.log of uint8 is float16
+        for dtype in (np.int64, np.uint8):
+            ks = np.array([2, 5, 9], dtype=dtype)
+            columns = entropy_columns(ks, np.array([0.5, 1.5, math.log(9) + 1e-13]))
+            assert columns["entropy_nats"].tolist() == [0.5, 1.5, float(np.log(9))], dtype
+
+    def test_refuses_what_the_scalar_bounds_refuse(self):
+        with pytest.raises(EntropyOutOfRangeError, match="h=nan"):
+            entropy_columns(3, np.array([0.5, math.nan]))
+        with pytest.raises(EntropyOutOfRangeError):
+            entropy_columns(np.array([3, 2]), np.array([1.0, 1.0]))
+        with pytest.raises(TooFewClassesError):
+            entropy_columns(np.array([3, 1]), np.array([0.0, 0.0]))
+        # a class count that is not an integer is refused, not truncated
+        for k in (2.5, np.float64(3.0), True, np.array([3.0]), np.array([2.5, 3.5]), np.array([True])):
+            with pytest.raises(BadParamError, match="must be an integer >= 2"):
+                entropy_columns(k, np.array([0.5]))
 
 
 def _mp_lower_fm(k, h):

@@ -39,7 +39,9 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.model import clamp, clamp_array, require_at_most, require_classes
+from misbounds.entropy import entropy_columns, lower_fm_array
+from misbounds.model import clamp, clamp_array, require_at_most, require_class_counts, require_classes
+from misbounds.tv_bounds import envelope_columns
 
 EXAMPLE = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -131,6 +133,9 @@ K_ENTRIES = {
     "fig1_rows": lambda k: fig1_rows(k),
     "exponential_profile": lambda k: exponential_profile(k, 0.3),
     "exponential_profiles": lambda k: exponential_profiles(k, [0.3]),
+    "envelope_columns": lambda k: envelope_columns(k, [0.0]),
+    "entropy_columns": lambda k: entropy_columns(k, [0.0]),
+    "lower_fm_array": lambda k: lower_fm_array(k, [0.0]),
 }
 
 
@@ -152,6 +157,27 @@ def test_every_k_entry_refuses_a_non_integer_class_count(entry, k):
 def test_class_count_comes_back_a_python_int():
     for k in (3, np.int64(3), np.uint8(3)):
         assert type(require_classes(k)) is int and require_classes(k) == 3
+
+
+@pytest.mark.parametrize("k", [np.array([3.0]), np.array([2.5, 4.0]), np.array([True, True]), np.float64(3.0)])
+def test_class_count_column_refuses_what_the_scalar_guard_refuses(k):
+    with pytest.raises(BadParamError, match=f"^k={re.escape(repr(k))} must be an integer >= 2$"):
+        require_class_counts(k)
+    with pytest.raises(BadParamError, match=f"^k={re.escape(repr(k))} must be an integer >= 2$"):
+        require_classes(k)
+
+
+def test_class_count_column_takes_integer_arrays_as_int64():
+    for dtype in (np.int8, np.int64, np.uint8, np.uint64):
+        counts = require_class_counts(np.array([2, 7, 100], dtype=dtype))
+        assert counts.dtype == np.int64 and counts.tolist() == [2, 7, 100]
+    assert require_class_counts(np.array([], dtype=np.int64)).shape == (0,)
+    assert type(require_class_counts(np.int64(3))) is int
+    with pytest.raises(TooFewClassesError, match="^need at least 2 classes, got k=1$"):
+        require_class_counts(np.array([3, 1, 2]))
+    # the scalar guard refuses an integer array: its callers need one count
+    with pytest.raises(BadParamError):
+        require_classes(np.array([3, 4]))
 
 
 @pytest.mark.parametrize("count", [11, 10.5, math.nan, math.inf, 10**400])

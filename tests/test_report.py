@@ -37,7 +37,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds import cli, report
+from misbounds import cli, entropy, report
 from misbounds.cli import main
 from misbounds.report import (
     _cell,
@@ -338,6 +338,17 @@ def assert_cells_close(got: dict, want: dict):
             assert got[key] == value, key
 
 
+def assert_cells_identical(got: dict, want: dict):
+    """Same keys in order, cells of the same type, floats equal bit for bit."""
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        if isinstance(value, float):
+            assert got[key].hex() == value.hex(), key
+        else:
+            assert got[key] == value, key
+
+
 FIG3_FIELDS = ("delta", "entropy_nats", "p_star", "L", "U", "U_simpl", "L_FM", "U_FM")
 
 
@@ -371,6 +382,47 @@ class TestSweepsMatchTheScalarPath:
             want = {"family": row["family"], "k": k, "q": q}
             want.update((name, getattr(rep, name)) for name in FIG3_FIELDS)
             assert_cells_close(row, want)
+
+    def test_fig2_rows_equal_from_profile_bit_for_bit(self):
+        rows = fig2_rows()
+        assert len(rows) == 606
+        for row in rows:
+            rep = BoundsReport.from_profile(three_class_profile(row["p"], row["eps"]))
+            want = {"p": row["p"], "eps": row["eps"]}
+            for name in ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star"):
+                want[f"log10_{name}"] = log10_or_none(getattr(rep, name))
+            assert_cells_identical(row, want)
+
+    def test_fig3_rows_equal_from_profile_bit_for_bit(self):
+        rows = fig3_rows()
+        assert len(rows) == 600
+        for row in rows:
+            k, q = row["k"], row["q"]
+            if row["family"] == "binomial":
+                profile = binomial_profile(int(round(math.log2(k))), q)
+            else:
+                profile = exponential_profile(k, q)
+            rep = BoundsReport.from_profile(profile)
+            want = {"family": row["family"], "k": k, "q": q}
+            want.update((name, getattr(rep, name)) for name in FIG3_FIELDS)
+            assert_cells_identical(row, want)
+
+    def test_sweeps_never_call_the_scalar_inverse(self, monkeypatch):
+        def refuse(k, h):
+            raise AssertionError("a sweep called the scalar lower_fm")
+
+        monkeypatch.setattr(report, "lower_fm", refuse)
+        assert len(fig2_table()["p"]) == 606
+        assert len(fig3_table()["q"]) == 600
+
+    def test_single_reports_never_call_the_column_inverse(self, monkeypatch):
+        def refuse(k, h):
+            raise AssertionError("a single report called lower_fm_array")
+
+        monkeypatch.setattr(entropy, "lower_fm_array", refuse)
+        monkeypatch.setattr(report, "lower_fm_array", refuse)
+        assert BoundsReport.from_model(EXAMPLE).L_FM > 0.0
+        assert BoundsReport.from_profile(exponential_profile(8, 0.3)).L_FM > 0.0
 
     def test_compare_hi_rows_match_the_scalar_bounds(self):
         scan = compare_hi_scan(2.0, 10000)

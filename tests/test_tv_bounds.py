@@ -219,10 +219,12 @@ class TestEnvelopeColumns:
             assert columns["U_simpl"][i] == upper_bound_simpl(k, x)
 
     def test_one_class_count_per_entry(self):
-        ks = np.array([2, 5, 9])
-        columns = envelope_columns(ks, np.array([0.5, 3.25, 8.0]))
-        want = [upper_bound(2, 0.5), upper_bound(5, 3.25), upper_bound(9, 8.0)]
-        assert columns["U"].tolist() == want
+        want = [upper_bound(2, 0.5), upper_bound(5, 3.25), upper_bound(9, 8.0), upper_bound(255, 3.5)]
+        # k + 1 at k = 255 would wrap in uint8 arithmetic
+        for dtype in (np.int64, np.int32, np.uint8):
+            ks = np.array([2, 5, 9, 255], dtype=dtype)
+            columns = envelope_columns(ks, np.array([0.5, 3.25, 8.0, 3.5]))
+            assert columns["U"].tolist() == want, dtype
 
     def test_refuses_what_the_scalar_envelopes_refuse(self):
         with pytest.raises(OutOfRangeError, match="delta=nan"):
@@ -231,6 +233,10 @@ class TestEnvelopeColumns:
             envelope_columns(np.array([3, 2]), np.array([2.0, 2.0]))
         with pytest.raises(TooFewClassesError):
             envelope_columns(np.array([3, 1]), np.array([0.0, 0.0]))
+        # a class count that is not an integer is refused, not truncated
+        for k in (2.5, np.float64(3.0), True, np.array([3.0]), np.array([2.5, 3.5]), np.array([True])):
+            with pytest.raises(BadParamError, match="must be an integer >= 2"):
+                envelope_columns(k, np.array([0.5, 1.0]))
 
 
 class TestExtremalProfiles:
