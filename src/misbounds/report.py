@@ -441,7 +441,7 @@ def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
 
 def verify_oracle() -> dict:
     """Exact simplex grids, checked in integers; zero violations required."""
-    reports = [simplex_grid_oracle(k, N) for k, N in ((2, 50), (3, 30), (4, 15), (5, 20), (6, 12))]
+    reports = [simplex_grid_oracle(k, N) for k, N in ((2, 50), (3, 30), (4, 15), (5, 20), (6, 12), (8, 24))]
     return {
         "suite": "oracle",
         "checked": sum(r.checked for r in reports),

@@ -7,13 +7,14 @@ computes it for models, profiles and stacks alike.  The Bayes error is
 pinned between an affine lower bound L and a piecewise-linear upper bound U
 of Delta, and both are attained by explicit posterior profiles.  An
 exhaustive oracle certifies the chain, attainment and strictness on simplex
-grids i/N as signs of cross-multiplied integers, with no float tolerance;
-Fractions appear only in the violations it reports.
+grids i/N as signs of cross-multiplied integers, with no float tolerance.
+Every check depends only on the sorted profile, so the oracle walks the
+partitions of N, weighted by their orderings; Fractions appear only in the
+violations it reports, one per ordering of a failing partition.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -176,16 +177,65 @@ class OracleReport:
         return not self.violations
 
 
-def _compositions(total: int, parts: int):
-    """All ordered tuples of `parts` nonnegative ints summing to `total`."""
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
+def _partitions(total: int, parts: int):
+    """Each partition of total into at most `parts` positive parts, as a nonincreasing tuple.
+
+    Partitions come in reverse lexicographic order.  The next one lowers the
+    rightmost part that can give up one unit and still leave room for what
+    follows it, then refills the tail greedily.  Only the nonzero parts are
+    held, so the cost does not grow with `parts`.
+    """
+    if total == 0:
+        yield ()
+        return
+    a = [total]
+    while True:
+        yield tuple(a)
+        rest = 1  # the unit taken from a[i], plus every part after it
+        for i in range(len(a) - 1, -1, -1):
+            v = a[i] - 1
+            if v and (parts - 1 - i) * v >= rest:
+                break
+            rest += a[i]
+        else:
+            return
+        del a[i:]
+        q, r = divmod(rest, v)
+        a += [v] * (q + 1)
+        if r:
+            a.append(r)
+
+
+def _orderings(partition: tuple, k: int) -> int:
+    """Number of distinct orderings of the partition padded with zeros to k entries.
+
+    k!/(z! * prod n_v!) over the value counts n_v and z zeros, taken as a
+    product of binomials so that a huge k costs no factorial.
+    """
+    count = 1
+    free = k
+    for v in set(partition):
+        n = partition.count(v)
+        count *= math.comb(free, n)
+        free -= n
+    return count
+
+
+def _distinct_orderings(c):
+    """Each distinct ordering of the sequence c once, in lexicographic order."""
+    a = sorted(c)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[: i : -1]
 
 
 def _upper_segments(k: int, N: int) -> list:
@@ -245,11 +295,14 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     the chain L <= 1 - max <= U <= U_simpl must hold, U must tie U_simpl
     exactly at integer delta and beat it strictly otherwise, and equality at
     either end must occur precisely when the profile is a permutation of the
-    matching extremal profile.  Sorting c descending gives
-    D = N*delta = sum_i (k+1-2i) c_(i), and every check is the sign of a
-    cross-multiplied integer; Fractions are built only to record a violation.
-    k and N are taken as Python ints, so no check runs in fixed-width numpy
-    integers.
+    matching extremal profile.  Each check depends only on c sorted
+    descending, for which D = N*delta = sum_i (k+1-2i) c_(i), so the loop
+    runs over the partitions of N into at most k parts, and each partition
+    counts once per distinct ordering in checked and the equality counts.
+    Every check is the sign of a cross-multiplied integer; Fractions are
+    built only to record a violation, once per ordering of a failing
+    partition.  k and N are taken as Python ints, so no check runs in
+    fixed-width numpy integers.
     """
     k = require_classes(k)
     N = integer_at_least(N, "N", 1)
@@ -261,20 +314,21 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     low_eq = 0
     high_eq = 0
     violations = []
-    for comp in _compositions(N, k):
-        c = sorted(comp, reverse=True)
-        D = sum(map(operator.mul, ranks, c))
+    for part in _partitions(N, k):
+        D = sum(map(operator.mul, ranks, part))
         m = -(-D // N)
         P, T = segments[m]
         T += D
-        low_gap = N + D - k * c[0]  # kN (p* - L)
-        high_gap = c[0] * P - T  # NP (U - p*)
+        low_gap = N + D - k * part[0]  # kN (p* - L)
+        high_gap = part[0] * P - T  # NP (U - p*)
         simpl_gap = T * (k * N - D) - N * N * P  # NP (kN - D) (U_simpl - U)
         tie = D == m * N
-        checked += 1
+        orderings = _orderings(part, k)
+        checked += orderings
         if low_gap > 0 and high_gap > 0 and simpl_gap > 0 and not tie:
             continue
 
+        c = list(part) + [0] * (k - len(part))
         sides = []
         if low_gap < 0:
             sides.append("below_lower")
@@ -289,15 +343,16 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
         # An extremal profile's largest entry is the complement of its bound,
         # so it can match only where equality holds; compare it there.
         if low_gap == 0:
-            low_eq += 1
+            low_eq += orderings
             if c != _scaled_low_profile(k, N, D):
                 sides.append("low_iff")
         if high_gap == 0:
-            high_eq += 1
+            high_eq += orderings
             if c != _scaled_high_profile(k, N, D, m, P, T):
                 sides.append("high_iff")
         if sides:
-            violations.extend(_violations(comp, k, N, D, P, T, sides))
+            for comp in _distinct_orderings(c):
+                violations.extend(_violations(comp, k, N, D, P, T, sides))
 
     violations.sort(key=lambda v: v[0])
     return OracleReport(

@@ -85,9 +85,9 @@ def test_2_extremal_profiles_reproduce_their_targets():
 
 
 def test_3_rational_oracle_zero_violations():
-    """Exhaustive exact grids up to k = 6, equality iff extremal, under 120 s."""
+    """Exhaustive exact grids up to k = 8, equality iff extremal, under 120 s."""
     start = time.perf_counter()
-    grids = ((2, 50), (3, 30), (4, 15), (5, 20), (6, 12))
+    grids = ((2, 50), (3, 30), (4, 15), (5, 20), (6, 12), (8, 24))
     reports = [simplex_grid_oracle(k, N) for k, N in grids]
     elapsed = time.perf_counter() - start
     total_violations = sum(len(r.violations) for r in reports)

@@ -37,7 +37,7 @@ from misbounds.entropy import (
     lower_fm_array,
     upper_fm_array,
 )
-from misbounds.tv_bounds import _compositions
+from simplex_grids import compositions
 
 # class counts spanning the binary case to a very wide alphabet
 K_GRID = (2, 3, 8, 100, 10**6)
@@ -327,7 +327,7 @@ class TestMpmathReferee:
         # same value, so only the bounds' own error is measured
         entropies = set()
         for k, N in ((2, 50), (3, 30), (4, 15)):
-            for comp in _compositions(N, k):
+            for comp in compositions(N, k):
                 h = entropy_of_profile(validate_profile([c / N for c in comp])).h
                 if 0.0 < h <= math.log(k) - H_SLACK:
                     entropies.add((k, h))

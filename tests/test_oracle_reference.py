@@ -1,9 +1,10 @@
-"""The integer simplex-grid oracle against an exact-rational reference, and
-the separation chain checked exactly on whole joint models.
+"""The integer simplex-grid oracle against an exact-rational reference, its
+partition enumerator against the compositions, and the separation chain
+checked exactly on whole joint models.
 
 The reference is the oracle as first written, in Fractions: it evaluates
-every grid profile directly from the definitions, so it shares no
-arithmetic with the cross-multiplied integer checks it referees.
+every grid composition directly from the definitions, so it shares neither
+the partition walk nor the cross-multiplied integer checks it referees.
 """
 
 import itertools
@@ -14,10 +15,11 @@ from fractions import Fraction
 import pytest
 
 from misbounds import tv_bounds
-from misbounds.tv_bounds import simplex_grid_oracle
+from misbounds.tv_bounds import _distinct_orderings, _orderings, simplex_grid_oracle
+from simplex_grids import compositions
 
-# the enumerator itself, kept here before any test patches it
-_compositions = tv_bounds._compositions
+# the oracle's enumerator itself, kept here before any test patches it
+_partitions = tv_bounds._partitions
 
 
 def rational_bounds(k, d):
@@ -43,9 +45,10 @@ def rational_high_profile(k, d, top):
     return tuple(sorted(prof, reverse=True))
 
 
-def reference_oracle(k, N, u_shift=0):
+def reference_oracle(k, N, u_shift=0, grid=compositions):
     """(checked, low_equalities, high_equalities, violations) of the k, N grid, in Fractions.
 
+    The profiles are grid(N, k), every composition of N by default.
     u_shift raises U by u_shift/(N P) on every segment, P = (k-m)(k+1-m),
     as lowering each T of tv_bounds._upper_segments by u_shift does.
     """
@@ -53,7 +56,7 @@ def reference_oracle(k, N, u_shift=0):
     low_eq = 0
     high_eq = 0
     violations = []
-    for comp in tv_bounds._compositions(N, k):
+    for comp in grid(N, k):
         a = tuple(Fraction(c, N) for c in comp)
         d = sum(abs(a[i] - a[j]) for i in range(k) for j in range(i + 1, k))
         value = 1 - max(a)
@@ -86,9 +89,9 @@ def reference_oracle(k, N, u_shift=0):
     return checked, low_eq, high_eq, violations
 
 
-def assert_same_report(k, N, u_shift=0):
+def assert_same_report(k, N, u_shift=0, grid=compositions):
     """The oracle's report equals the reference's, field by field; returns it."""
-    checked, low_eq, high_eq, violations = reference_oracle(k, N, u_shift)
+    checked, low_eq, high_eq, violations = reference_oracle(k, N, u_shift, grid)
     got = simplex_grid_oracle(k, N)
     assert (got.checked, got.low_equalities, got.high_equalities) == (checked, low_eq, high_eq)
     assert got.violations == tuple(violations)
@@ -114,27 +117,45 @@ def test_integer_oracle_matches_the_fraction_reference(k):
             assert assert_same_report(k, N).ok
 
 
-def _off_grid_compositions(N, k):
-    """Compositions of N - 1, N and N + 1, so entries no longer sum to one; each
-    keeps its separation within [0, k-1] so every bound stays defined."""
-    for total in (N - 1, N, N + 1):
-        for comp in _compositions(total, k):
-            if sum(abs(x - y) for x, y in itertools.combinations(comp, 2)) <= (k - 1) * N:
-                yield comp
+# Grids of up to 5,005 profiles at k = 7 and 8, which SMALL_GRIDS leaves out.
+WIDE_GRIDS = [(7, N) for N in range(1, 9)] + [(8, N) for N in range(1, 7)]
+
+
+@pytest.mark.parametrize("k, N", WIDE_GRIDS)
+def test_integer_oracle_matches_the_fraction_reference_at_k_7_and_8(k, N):
+    assert assert_same_report(k, N).ok
+
+
+def _off_grid(enumerate_grid):
+    """enumerate_grid over N - 1, N and N + 1, so entries no longer sum to one;
+    each kept profile, padded with zeros to k entries, has its separation
+    within [0, k-1], so every bound stays defined."""
+
+    def off_grid(N, k):
+        for total in (N - 1, N, N + 1):
+            for c in enumerate_grid(total, k):
+                padded = c + (0,) * (k - len(c))
+                if sum(abs(x - y) for x, y in itertools.combinations(padded, 2)) <= (k - 1) * N:
+                    yield c
+
+    return off_grid
 
 
 @pytest.mark.parametrize("k, N", [(2, 6), (3, 6), (3, 7), (4, 5)])
 def test_violations_match_the_reference_when_the_checks_fail(monkeypatch, k, N):
     """Break the chain two ways and compare every recorded tuple with the reference.
 
-    Off-grid profiles break L <= p*, p* <= U and both iff checks; raising or
-    lowering U by one grid unit breaks U <= U_simpl, the integer tie and
-    strictness.  Together they fire all seven sides at k = 3.
+    Off-grid profiles, the oracle's partitions and the reference's
+    compositions of N - 1, N and N + 1, break L <= p*, p* <= U and both iff
+    checks; each failing partition must record every one of its orderings,
+    in the reference's order.  Raising or lowering U by one grid unit
+    breaks U <= U_simpl, the integer tie and strictness.  Together they
+    fire all seven sides at k = 3.
     """
     fired = Counter()
     with monkeypatch.context() as patch:
-        patch.setattr(tv_bounds, "_compositions", _off_grid_compositions)
-        fired.update(v[4] for v in assert_same_report(k, N).violations)
+        patch.setattr(tv_bounds, "_partitions", _off_grid(_partitions))
+        fired.update(v[4] for v in assert_same_report(k, N, grid=_off_grid(compositions)).violations)
     segments = tv_bounds._upper_segments
     for shift in (1, -1):
         with monkeypatch.context() as patch:
@@ -150,12 +171,52 @@ def test_violations_match_the_reference_when_the_checks_fail(monkeypatch, k, N):
     assert sides <= set(fired)
 
 
+# --- the partition enumerator -------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_partitions_weighted_by_orderings_count_every_composition(k):
+    for N in range(1, 31):
+        parts = list(_partitions(N, k))
+        assert len(set(parts)) == len(parts)
+        for p in parts:
+            assert type(p) is tuple and 1 <= len(p) <= k
+            assert sum(p) == N and min(p) >= 1
+            assert list(p) == sorted(p, reverse=True)
+        assert sum(_orderings(p, k) for p in parts) == math.comb(N + k - 1, k - 1)
+
+
+@pytest.mark.parametrize("k, N", [(2, 9), (3, 12), (4, 10), (5, 8), (6, 7), (8, 6)])
+def test_partitions_are_the_sorted_compositions(k, N):
+    """Each composition sorts to exactly one partition, and each partition expands
+    to exactly its number of orderings, all distinct and all sorting back to it."""
+    by_partition = Counter(tuple(x for x in sorted(c, reverse=True) if x) for c in compositions(N, k))
+    assert set(_partitions(N, k)) == set(by_partition)
+    for p in _partitions(N, k):
+        padded = p + (0,) * (k - len(p))
+        expanded = list(_distinct_orderings(padded))
+        assert len(set(expanded)) == len(expanded) == _orderings(p, k) == by_partition[p]
+        assert expanded == sorted(expanded)
+        assert all(tuple(sorted(c, reverse=True)) == padded for c in expanded)
+
+
+def test_partitions_and_orderings_at_extreme_class_counts():
+    """Neither depth nor cost grows with k: only the nonzero parts are held."""
+    assert list(_partitions(2, 3000)) == [(2,), (1, 1)]
+    assert list(_partitions(1, 10**7)) == [(1,)]
+    assert list(_partitions(5, 1)) == [(5,)]
+    assert list(_partitions(0, 4)) == [()]
+    assert _orderings((1,), 10**7) == 10**7
+    assert _orderings((1, 1), 3000) == math.comb(3000, 2)
+    assert _orderings((2, 1, 1), 10**6) == 10**6 * math.comb(10**6 - 1, 2)
+
+
 # --- the separation chain on whole joint models ------------------------------
 
 
 def _models(k, n, N):
     """Every k x n joint model with entries c/N, as k rows of integer numerators."""
-    for comp in _compositions(N, k * n):
+    for comp in compositions(N, k * n):
         yield [comp[y * n : (y + 1) * n] for y in range(k)]
 
 

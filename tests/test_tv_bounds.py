@@ -1,6 +1,7 @@
 """Separation statistic, its bound chain, extremal profiles, rational oracle."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -303,6 +304,15 @@ class TestSimplexGridOracle:
             r = simplex_grid_oracle(k, n)
             assert r.checked == math.comb(n + k - 1, k - 1)
             assert r.ok, r.violations[:3]
+
+    def test_wide_grid_inside_the_size_limit_finishes(self):
+        # 4,501,500 profiles but two partitions; walking the compositions
+        # took time proportional to profiles x k
+        start = time.perf_counter()
+        r = simplex_grid_oracle(3000, 2)
+        assert time.perf_counter() - start < 1.0
+        assert r.checked == 4_501_500
+        assert r.ok
 
     def test_guard_rejects_oversized_grid(self):
         with pytest.raises(TooLargeError):
