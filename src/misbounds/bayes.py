@@ -58,8 +58,9 @@ def error_of_labels(w: np.ndarray, labels: np.ndarray) -> np.ndarray:
     The entries left are summed, so that a tiny error does not cancel.
     """
     rest = w.copy()
-    *stack, cols = np.indices(labels.shape, sparse=True)
-    rest[(*stack, labels, cols)] = 0.0
+    *_, k, n = w.shape
+    models = rest.reshape(-1, k, n)
+    models[np.arange(len(models))[:, None], labels.reshape(-1, n), np.arange(n)] = 0.0
     return rest.sum(axis=(-2, -1))
 
 

@@ -79,8 +79,8 @@ class RenyiValue:
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
-    """p ln p elementwise with the 0 ln 0 = 0 convention."""
-    return p * np.log(p, out=np.zeros_like(p), where=p > 0)
+    """p ln p elementwise with the 0 ln 0 = 0 convention: a zero entry takes ln 1 = 0."""
+    return p * np.log(np.where(p > 0, p, 1.0))
 
 
 def posterior_entropies(posteriors: np.ndarray, mass) -> np.ndarray:
@@ -91,14 +91,23 @@ def posterior_entropies(posteriors: np.ndarray, mass) -> np.ndarray:
     is summed over the last axis of the transposed view, so a model's column
     posteriors, which boolean indexing leaves column-major, sum contiguously.
     """
-    return -(mass * _plogp(np.swapaxes(posteriors, -1, -2)).sum(axis=-1)).sum(axis=-1)
+    return -(mass * _plogp(posteriors.swapaxes(-1, -2)).sum(axis=-1)).sum(axis=-1)
 
 
 def _column_posteriors(model: JointModel) -> tuple:
-    """The posterior of each observation that has mass, one per column, and that mass."""
+    """The posterior of each observation that has mass, one per column, and that mass.
+
+    The posteriors are column-major, the layout boolean indexing gives them,
+    whichever path built them: the sums in posterior_entropies then run in
+    the same order, and a k >= 8 entropy keeps its last bit.
+    """
     mu = model.w.sum(axis=0)
     live = mu > 0
-    return model.w[:, live] / mu[live], mu[live]
+    if not live.all():
+        return model.w[:, live] / mu[live], mu[live]
+    ratio = model.w.T.copy()
+    ratio /= mu[:, None]
+    return ratio.T, mu
 
 
 def conditional_entropy(model: JointModel) -> EntropyValue:
@@ -199,7 +208,11 @@ def lower_fm(k: int, h: float) -> float:
     relative to p wherever phi is well conditioned, down to p ~ 1e-300;
     nearer the top it is as exact as phi's rounding allows.
     """
-    h = _into_domain(k, h)
+    return _lower_fm(k, _into_domain(k, h))
+
+
+def _lower_fm(k: int, h: float) -> float:
+    """lower_fm at an h already in [0, ln k]."""
     if h == 0.0:
         return 0.0
     # phi is quadratically flat at its right endpoint, so inverting there
@@ -268,7 +281,11 @@ def upper_fm(h: float) -> float:
     first knot (ln 1 = 0) stays legal, and up to LOG_FLOAT_MAX, where
     exp(H) still fits in a double.
     """
-    h = clamp(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h")
+    return _upper_fm(clamp(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h"))
+
+
+def _upper_fm(h: float) -> float:
+    """upper_fm at an h already in [0, LOG_FLOAT_MAX]."""
     e = max(snapped_ceil(math.exp(h)) - 1, 1)
     return _upper_fm_branch(h, e, math.log, math.log1p)
 
@@ -291,10 +308,20 @@ def entropy_columns(k, h) -> dict:
     """The clamped entropies and U_FM at each, over an array of entropies.
 
     k is one class count or an integer array of them, one per entropy; h is
-    clamped as EntropyValue clamps it.
+    clamped as EntropyValue clamps it, against math.log(k).  numpy's log of
+    an integer array can differ from math.log in the last bit, so it stands
+    in only for entries that cannot reach the top; those within H_SLACK of
+    it take math.log.
     """
     k = require_class_counts(k)
-    h = clamp_array(h, 0.0, np.log(k), H_SLACK, EntropyOutOfRangeError, "h")
+    if isinstance(k, np.ndarray):
+        k, h = np.broadcast_arrays(k, np.asarray(h, dtype=float))
+        log_k = np.log(k, out=np.zeros(k.shape))
+        top = h >= log_k - H_SLACK
+        log_k[top] = _math_map(math.log)(k[top])
+    else:
+        log_k = math.log(k)
+    h = clamp_array(h, 0.0, log_k, H_SLACK, EntropyOutOfRangeError, "h")
     return {"entropy_nats": h, "U_FM": upper_fm_array(h)}
 
 

@@ -26,15 +26,15 @@ import numpy as np
 
 from .bayes import bayes_error, brute_force_bayes_error, error_of_labels
 from .entropy import (
+    _lower_fm,
+    _upper_fm,
     conditional_entropy,
     entropy_columns,
     entropy_of_profile,
     ep_counterexample_check,
-    lower_fm,
     lower_fm_array,
     phi,
     posterior_entropies,
-    upper_fm,
 )
 from .errors import BadParamError, InvariantViolationError
 from .families import (
@@ -46,6 +46,9 @@ from .families import (
 )
 from .model import SIZE_LIMIT, JointModel, PosteriorProfile, integer_at_least, require_at_most, require_classes, validate_joint
 from .tv_bounds import (
+    _lower,
+    _upper,
+    _upper_simpl,
     delta,
     delta_of_profile,
     envelope_columns,
@@ -53,7 +56,6 @@ from .tv_bounds import (
     separations,
     simplex_grid_oracle,
     upper_bound,
-    upper_bound_simpl,
     extremal_high_profile,
     extremal_low_profile,
 )
@@ -113,17 +115,23 @@ class BoundsReport:
 
     @classmethod
     def _evaluate(cls, k: int, d: float, h: float, p_star: float) -> "BoundsReport":
-        """Both bound families at separation d and conditional entropy h."""
+        """Both bound families at separation d and conditional entropy h.
+
+        The arguments are already in domain: k an integer >= 2, d in
+        [0, k-1] and h in [0, ln k], as a DeltaValue and an EntropyValue
+        hold them.  So each bound is its public function's body alone, and
+        nothing is checked or clamped a second time.
+        """
         return cls(
             k=k,
             delta=d,
             entropy_nats=h,
             p_star=p_star,
-            L=lower_bound(k, d),
-            U=upper_bound(k, d),
-            U_simpl=upper_bound_simpl(k, d),
-            L_FM=lower_fm(k, h),
-            U_FM=upper_fm(h),
+            L=_lower(k, d),
+            U=_upper(k, d),
+            U_simpl=_upper_simpl(k, d),
+            L_FM=_lower_fm(k, h),
+            U_FM=_upper_fm(h),
         )
 
     @classmethod
@@ -134,11 +142,12 @@ class BoundsReport:
 
     @classmethod
     def from_profile(cls, profile: PosteriorProfile) -> "BoundsReport":
+        w = profile.a[:, None]
         return cls._evaluate(
             profile.k,
             delta_of_profile(profile).delta,
             entropy_of_profile(profile).h,
-            bayes_error(profile.as_model()),
+            float(error_of_labels(w, w.argmax(axis=0))),
         )
 
     def as_dict(self) -> dict:

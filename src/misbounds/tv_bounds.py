@@ -89,7 +89,9 @@ def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
 
 
 # The envelope formulas, written once for a float or an array of separations d
-# already in [0, k-1]; m is snapped_ceil(d).
+# already in [0, k-1]; m is snapped_ceil(d).  Each public bound below is its
+# guard, _into_domain, then its body; a report, whose DeltaValue has already
+# checked k and clamped d, calls the bodies alone.
 
 
 def _lower(k, d):
@@ -99,6 +101,10 @@ def _lower(k, d):
 def _top(k, d, m):
     """Height of the flat top block of the profile that attains U; U = 1 - top."""
     return (k + 1 + d - 2 * m) / ((k - m) * (k + 1 - m))
+
+
+def _upper(k: int, d: float) -> float:
+    return 1.0 - _top(k, d, snapped_ceil(d))
 
 
 def _upper_simpl(k, d):
@@ -112,8 +118,7 @@ def lower_bound(k: int, delta: float) -> float:
 
 def upper_bound(k: int, delta: float) -> float:
     """Tight upper bound: linear interpolation of 1 - 1/(k - m) between integers m."""
-    d = _into_domain(k, delta)
-    return 1.0 - _top(k, d, snapped_ceil(d))
+    return _upper(k, _into_domain(k, delta))
 
 
 def upper_bound_simpl(k: int, delta: float) -> float:
@@ -238,13 +243,13 @@ def _distinct_orderings(c):
         a[i + 1 :] = a[: i : -1]
 
 
-def _upper_segments(k: int, N: int) -> list:
-    """(P, T - D) for each ceiling m = 0..k-1 of the separation, scaled by N.
+def _upper_segment(k: int, N: int, m: int) -> tuple:
+    """(P, T - D) on the segment whose separation has ceiling m, scaled by N.
 
     On segment m, U = 1 - T/(N P) with P = (k-m)(k+1-m) and
     T = N(k+1-2m) + D, where D = N*delta.
     """
-    return [((k - m) * (k + 1 - m), N * (k + 1 - 2 * m)) for m in range(k)]
+    return (k - m) * (k + 1 - m), N * (k + 1 - 2 * m)
 
 
 def _scaled_low_profile(k: int, N: int, D: int):
@@ -309,7 +314,6 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     require_at_most(math.comb(N + k - 1, k - 1), SIZE_LIMIT, "grid profiles")
 
     ranks = range(k - 1, -k, -2)
-    segments = _upper_segments(k, N)
     checked = 0
     low_eq = 0
     high_eq = 0
@@ -317,7 +321,7 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     for part in _partitions(N, k):
         D = sum(map(operator.mul, ranks, part))
         m = -(-D // N)
-        P, T = segments[m]
+        P, T = _upper_segment(k, N, m)
         T += D
         low_gap = N + D - k * part[0]  # kN (p* - L)
         high_gap = part[0] * P - T  # NP (U - p*)

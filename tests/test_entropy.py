@@ -16,6 +16,7 @@ from misbounds import (
     BadBetaError,
     BadParamError,
     EntropyOutOfRangeError,
+    EntropyValue,
     NegativeEntropyError,
     OutOfRangeError,
     TooFewClassesError,
@@ -285,6 +286,16 @@ class TestEntropyColumns:
             ks = np.array([2, 5, 9], dtype=dtype)
             columns = entropy_columns(ks, np.array([0.5, 1.5, math.log(9) + 1e-13]))
             assert columns["entropy_nats"].tolist() == [0.5, 1.5, float(np.log(9))], dtype
+
+    def test_top_is_math_log_as_in_entropy_value(self):
+        # numpy's log of an integer array and math.log differ in the last bit at k = 9170
+        k = 9170
+        h = math.log(k) + 5e-13
+        assert EntropyValue(h, k).h == math.log(k) != float(np.log(np.array([k]))[0])
+        for ks in (k, np.array([k, 3])):
+            columns = entropy_columns(ks, np.array([h, 0.5]))
+            assert columns["entropy_nats"][0].hex() == math.log(k).hex()
+            assert columns["entropy_nats"][1] == 0.5
 
     def test_refuses_what_the_scalar_bounds_refuse(self):
         with pytest.raises(EntropyOutOfRangeError, match="h=nan"):

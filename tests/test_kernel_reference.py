@@ -6,10 +6,13 @@ The reference functions below are those implementations as they were: the
 row-sum rank-weight dot product and its per-row loop over a stack, the
 masked p ln p, the entropy summed per posterior column, and the mass off
 chosen labels from a zeroed copy.  Every statistic of today's kernels, and
-every field of a report, must equal them exactly.
+every field of a report, must equal them exactly.  A report's bounds come
+from the bodies of the public bound functions, so they are also checked
+against those functions, guard and all.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,11 +34,15 @@ from misbounds import (
     delta_of_profile,
     entropy_of_profile,
     exponential_profiles,
+    lower_bound,
     three_class_profiles,
+    upper_bound,
+    upper_bound_simpl,
+    upper_fm,
     validate_joint,
 )
 from misbounds.bayes import error_of_labels
-from misbounds.entropy import entropy_columns, lower_fm, posterior_entropies
+from misbounds.entropy import H_SLACK, entropy_columns, lower_fm, posterior_entropies
 from misbounds.report import _profile_columns
 from misbounds.tv_bounds import envelope_columns, separations
 
@@ -135,6 +142,21 @@ def models(draw):
 
 
 @st.composite
+def wide_models(draw):
+    """Models with every column live, k in {8, 9, 64, 256, 512} and n in 1..64, with zeros, ties and 1e-15 rows."""
+    k = draw(st.sampled_from([8, 9, 64, 256, 512]))
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((k, n))
+    w[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if draw(st.booleans()):
+        w = np.round(w, 1)
+    w[rng.random(k) < draw(st.sampled_from([0.0, 0.5]))] *= 1e-15
+    w[0, w.sum(axis=0) == 0.0] = 1.0
+    return validate_joint(w / w.sum())
+
+
+@st.composite
 def profiles(draw):
     """Unit-mass posterior profiles, k in 2..8, with ties, zeros and tiny entries."""
     model = draw(models())
@@ -174,8 +196,10 @@ PINNED_STACKS = [
 # --- models -----------------------------------------------------------------
 
 
+# A model with every column live takes the posterior path without boolean
+# indexing; wide_models checks that its layout keeps the k >= 8 entropy bits.
 @settings(max_examples=300)
-@given(models())
+@given(st.one_of(models(), wide_models()))
 def test_model_statistics_match_reference(model):
     w = model.w
     assert float(separations(w)) == reference_pairwise_abs_sum(w)
@@ -195,7 +219,7 @@ def test_classifier_error_matches_reference(model, random):
 
 
 @settings(max_examples=200)
-@given(models())
+@given(st.one_of(models(), wide_models()))
 def test_from_model_matches_reference_field_by_field(model):
     w = model.w
     reference = reference_report(
@@ -205,6 +229,59 @@ def test_from_model_matches_reference_field_by_field(model):
         reference_mass_off(w, w.argmax(axis=0)),
     )
     assert_same_report(outcome(lambda: BoundsReport.from_model(model)), reference)
+
+
+# --- the report's bounds against the public bound functions ------------------
+
+
+class UncheckedReport(BoundsReport):
+    """A report that skips the chain check, so that _evaluate's fields can be read at any statistics."""
+
+    def __post_init__(self):
+        pass
+
+
+@st.composite
+def report_arguments(draw):
+    """(k, d, h) in domain, as DeltaValue and EntropyValue leave them, with d and h at their edges."""
+    k = draw(st.one_of(st.integers(2, 9), st.integers(10, 10**7)))
+    top = float(k - 1)
+    d = draw(
+        st.one_of(
+            st.floats(0.0, top),
+            st.integers(0, k - 1).map(float),
+            st.just(top),
+            st.tuples(st.integers(0, k - 1), st.floats(-1e-9, 1e-9)).map(lambda m: m[0] + m[1]),
+        )
+    )
+    log_k = math.log(k)
+    h = draw(
+        st.one_of(
+            st.floats(0.0, log_k),
+            st.just(0.0),
+            st.floats(5e-324, 2.2e-308),
+            st.integers(-8, 8).map(lambda j: log_k - H_SLACK + j * math.ulp(log_k)),
+            st.floats(log_k - 1e-9, log_k + H_SLACK),
+        )
+    )
+    return k, DeltaValue(d, k).delta, EntropyValue(h, k).h
+
+
+@settings(max_examples=500)
+@given(report_arguments(), st.floats(0.0, 1.0))
+def test_report_bounds_equal_the_public_functions(arguments, p_star):
+    k, d, h = arguments
+    rep = UncheckedReport._evaluate(k, d, h, p_star)
+    want = {
+        "L": lower_bound(k, d),
+        "U": upper_bound(k, d),
+        "U_simpl": upper_bound_simpl(k, d),
+        "L_FM": lower_fm(k, h),
+        "U_FM": upper_fm(h),
+    }
+    assert {name: getattr(rep, name).hex() for name in want} == {
+        name: value.hex() for name, value in want.items()
+    }
 
 
 # --- profiles ---------------------------------------------------------------

@@ -50,7 +50,7 @@ def reference_oracle(k, N, u_shift=0, grid=compositions):
 
     The profiles are grid(N, k), every composition of N by default.
     u_shift raises U by u_shift/(N P) on every segment, P = (k-m)(k+1-m),
-    as lowering each T of tv_bounds._upper_segments by u_shift does.
+    as lowering the T of tv_bounds._upper_segment by u_shift does.
     """
     checked = 0
     low_eq = 0
@@ -156,13 +156,13 @@ def test_violations_match_the_reference_when_the_checks_fail(monkeypatch, k, N):
     with monkeypatch.context() as patch:
         patch.setattr(tv_bounds, "_partitions", _off_grid(_partitions))
         fired.update(v[4] for v in assert_same_report(k, N, grid=_off_grid(compositions)).violations)
-    segments = tv_bounds._upper_segments
+    segment = tv_bounds._upper_segment
     for shift in (1, -1):
         with monkeypatch.context() as patch:
             patch.setattr(
                 tv_bounds,
-                "_upper_segments",
-                lambda k, N, shift=shift: [(P, T - shift) for P, T in segments(k, N)],
+                "_upper_segment",
+                lambda k, N, m, shift=shift: (segment(k, N, m)[0], segment(k, N, m)[1] - shift),
             )
             fired.update(v[4] for v in assert_same_report(k, N, shift).violations)
     sides = {"below_lower", "above_upper", "upper_chain", "integer_tie", "strictness"}

@@ -411,7 +411,7 @@ class TestSweepsMatchTheScalarPath:
         def refuse(k, h):
             raise AssertionError("a sweep called the scalar lower_fm")
 
-        monkeypatch.setattr(report, "lower_fm", refuse)
+        monkeypatch.setattr(report, "_lower_fm", refuse)
         assert len(fig2_table()["p"]) == 606
         assert len(fig3_table()["q"]) == 600
 
@@ -539,7 +539,7 @@ class TestVerifySuites:
 
     def test_sandwich_failure_names_its_model(self, monkeypatch, capsys):
         # seed 3 draws k = 7, n = 1 first; L_FM = 1 breaks its chain at once
-        monkeypatch.setattr(report, "lower_fm", lambda k, h: 1.0)
+        monkeypatch.setattr(report, "_lower_fm", lambda k, h: 1.0)
         message = r"sandwich seed 3, model 0 \(k=7, n=1\): L_FM<=p\* violated by "
         with pytest.raises(InvariantViolationError, match=f"^{message}"):
             verify_sandwich(count=5, seed=3)

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,19 @@ class TestSimplexGridOracle:
         assert time.perf_counter() - start < 1.0
         assert r.checked == 4_501_500
         assert r.ok
+
+    def test_million_classes_one_unit_stays_small(self):
+        # one partition reaches one segment, so only its (P, T) is built; a
+        # table of all 10**6 pairs would hold about 150 MB
+        tracemalloc.start()
+        try:
+            r = simplex_grid_oracle(10**6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.checked == 10**6
+        assert r.ok
+        assert peak < 50 * 2**20
 
     def test_guard_rejects_oversized_grid(self):
         with pytest.raises(TooLargeError):
