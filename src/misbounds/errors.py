@@ -29,10 +29,6 @@ class TooFewClassesError(MisboundsError, ValueError):
     """A model needs at least two classes."""
 
 
-class ZeroMarginalError(MisboundsError, ValueError):
-    """Posterior requested at an observation with zero marginal mass."""
-
-
 class ParseError(MisboundsError, ValueError):
     """A model file could not be parsed; carries the offending location."""
 

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import BadParamError, BadPermutationError, BadWeightsError, OutOfDomainError
-from .model import MASS_TOL, SIZE_LIMIT, JointModel, PosteriorProfile, clamp_array, integer, integer_at_least, require_at_most, require_classes, validate_profile
+from .model import MASS_TOL, SIZE_LIMIT, JointModel, PosteriorProfile, clamp_array, floats, integer, integer_at_least, real, require_at_most, require_classes, validate_profile
 
 
 class DomainWarning(UserWarning):
@@ -35,7 +35,7 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     """
     a = profile.a
     k = profile.k
-    w_vec = np.asarray(weights, dtype=float)
+    w_vec = floats(weights)
     if w_vec.ndim != 1 or w_vec.size == 0:
         raise BadWeightsError(f"weights must be a nonempty vector, got shape {w_vec.shape}")
     if not np.all(w_vec > 0):
@@ -248,10 +248,6 @@ def qpsk_q(eb_n0: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _reals(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 def _integer_rows(value) -> list:
     return [[integer(label) for label in row] for row in value]
 
@@ -259,12 +255,12 @@ def _integer_rows(value) -> list:
 # family -> (constructor, {parameter: conversion}), parameters in argument order;
 # the conversions refuse values of the wrong type instead of coercing them.
 FAMILIES = {
-    "pure": (pure_model, {"a": validate_profile, "weights": _reals, "perms": _integer_rows}),
-    "binomial": (binomial_profile, {"m": integer, "q": float}),
-    "exponential": (exponential_profile, {"k": integer, "q": float}),
-    "three_class": (three_class_profile, {"p": float, "eps": float}),
+    "pure": (pure_model, {"a": validate_profile, "weights": floats, "perms": _integer_rows}),
+    "binomial": (binomial_profile, {"m": integer, "q": real}),
+    "exponential": (exponential_profile, {"k": integer, "q": real}),
+    "three_class": (three_class_profile, {"p": real, "eps": real}),
     "comp_lo": (comp_lo_profile, {"k": integer, "ell": integer}),
-    "comp_hi": (comp_hi_profile, {"k": integer, "nu": float}),
+    "comp_hi": (comp_hi_profile, {"k": integer, "nu": real}),
 }
 
 

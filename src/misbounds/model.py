@@ -1,9 +1,10 @@
 """Finite discrete joint models of a label Y in {1..k} and an observation X in {1..n}.
 
-A model stores the k x n matrix w with w[y-1, x-1] = P(Y = y, X = x).  The
-column sums form the marginal distribution of X, and each column with
-positive mass normalizes to the posterior profile of Y given that
-observation.  Everything here is immutable and purely functional.
+A model stores the k x n matrix w with w[y-1, x-1] = P(Y = y, X = x); a
+posterior profile is a length-k vector, the k x 1 model it is.  This module
+validates both, loads models from CSV or JSON files, and holds the guards
+that every public entry applies to its parameters.  Everything here is
+immutable and purely functional.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     ParseError,
     TooFewClassesError,
     TooLargeError,
-    ZeroMarginalError,
 )
 
 # Input mass tolerance: sums within MASS_TOL of 1 are accepted and
@@ -80,12 +80,24 @@ def integer(value) -> int:
     return operator.index(value)
 
 
+def _integer_or_none(value) -> int | None:
+    """integer(value), or None where integer refuses it."""
+    try:
+        return integer(value)
+    except TypeError:
+        return None
+
+
+def real(value) -> float:
+    """float(value), which refuses None and [0.3]; a bool or a string, which float would coerce, is refused too."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a real number")
+    return float(value)
+
+
 def integer_at_least(value, name: str, least: int) -> int:
     """value as a Python int of at least `least`; a bool, a float or a string is refused."""
-    try:
-        number = integer(value)
-    except TypeError:
-        number = None
+    number = _integer_or_none(value)
     if number is None or number < least:
         raise BadParamError(f"{name}={value!r} must be an integer >= {least}")
     return number
@@ -93,10 +105,9 @@ def integer_at_least(value, name: str, least: int) -> int:
 
 def require_classes(k) -> int:
     """k as a Python int; refuses a non-integer, and a count below two, the least with a decision to make."""
-    try:
-        number = integer(k)
-    except TypeError:
-        raise BadParamError(f"k={k!r} must be an integer >= 2") from None
+    number = _integer_or_none(k)
+    if number is None:
+        raise BadParamError(f"k={k!r} must be an integer >= 2")
     if number < 2:
         raise TooFewClassesError(f"need at least 2 classes, got k={k}")
     return number
@@ -150,8 +161,25 @@ def clamp_array(values, lo, hi, slack: float, error: type, name: str) -> np.ndar
     return np.where(hi < raised, hi, raised)
 
 
-def _floats(raw) -> np.ndarray:
-    """raw as a float array; ragged rows and entries that are not numbers are a ParseError."""
+def _has_text_or_bool(raw) -> bool:
+    """Whether raw, a nested sequence or array, holds a string or a bool, which float() would coerce.
+
+    An array is checked by its dtype alone, but for one of objects: only float
+    and integer arrays pass.  A list is checked entry by entry, since
+    np.asarray([True, 0.5]) is already a float array.
+    """
+    if isinstance(raw, np.ndarray):
+        kind = raw.dtype.kind
+        return kind not in "fiuO" or (kind == "O" and any(map(_has_text_or_bool, raw.flat)))
+    if isinstance(raw, (list, tuple)):
+        return any(map(_has_text_or_bool, raw))
+    return isinstance(raw, (str, bytes, bool, np.bool_))
+
+
+def floats(raw) -> np.ndarray:
+    """raw as a float array; ragged rows and entries that are not numbers, text and bools too, are a ParseError."""
+    if _has_text_or_bool(raw):
+        raise ParseError("expected numbers in a rectangular array, got text or a boolean")
     try:
         return np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -166,7 +194,7 @@ def validate_joint(raw) -> JointModel:
     renormalization, which tolerates decimal-text round-off without hiding
     genuine input errors).
     """
-    w = _floats(raw)
+    w = floats(raw)
     if w.ndim != 2 or w.size == 0:
         raise ParseError(f"expected a nonempty 2-D matrix, got shape {w.shape}")
     require_classes(w.shape[0])
@@ -183,38 +211,16 @@ def validate_joint(raw) -> JointModel:
 
 def validate_profile(raw) -> PosteriorProfile:
     """Validate a length-k vector as the k x 1 joint model it is."""
-    a = _floats(raw)
+    a = floats(raw)
     if a.ndim != 1 or a.size == 0:
         raise ParseError(f"expected a nonempty 1-D vector, got shape {a.shape}")
     return PosteriorProfile(a=validate_joint(a[:, None]).w[:, 0])
 
 
-def marginal(model: JointModel) -> np.ndarray:
-    """Distribution of X: column sums of the joint matrix."""
-    return model.w.sum(axis=0)
-
-
-def posterior(model: JointModel, x: int) -> PosteriorProfile:
-    """Posterior profile of Y given observation x (1-based).
-
-    Raises ZeroMarginalError when the observation carries no mass; such
-    columns are legal in a model but have no well-defined posterior, so
-    callers must skip them.
-    """
-    if not 1 <= x <= model.n:
-        raise IndexError(f"observation index {x} outside 1..{model.n}")
-    col = model.w[:, x - 1]
-    mu_x = float(col.sum())
-    if mu_x == 0.0:
-        raise ZeroMarginalError(f"observation {x} has zero marginal mass")
-    return PosteriorProfile(a=col / mu_x)
-
-
-# --- file I/O -------------------------------------------------------------
+# --- file loading ---------------------------------------------------------
 #
 # CSV layout: k rows x n columns of decimals, '#' lines are comments.
 # JSON layout: {"k": ..., "n": ..., "w": [[...], ...]}.
-# Floats are written with repr() so save -> load round-trips exactly.
 
 
 def load_model(path) -> JointModel:
@@ -230,7 +236,7 @@ def load_model(path) -> JointModel:
             raise ParseError(f"{path}: JSON model must be an object with a 'w' field")
         model = validate_joint(doc["w"])
         for key, size in (("k", model.k), ("n", model.n)):
-            if key in doc and doc[key] != size:
+            if key in doc and _integer_or_none(doc[key]) != size:
                 raise ParseError(f"{path}: {key!r}={doc[key]!r} but 'w' is {model.k} x {model.n}")
         return model
 
@@ -258,14 +264,3 @@ def load_model(path) -> JointModel:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return validate_joint(rows)
-
-
-def save_model(model: JointModel, path) -> None:
-    """Write a model at full precision, as JSON for a .json suffix and as CSV otherwise."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        doc = {"k": model.k, "n": model.n, "w": [[float(v) for v in row] for row in model.w]}
-        path.write_text(json.dumps(doc, indent=None, separators=(",", ":")) + "\n")
-    else:
-        lines = [",".join(repr(float(v)) for v in row) for row in model.w]
-        path.write_text("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ from misbounds import (
     DomainWarning,
     JointModel,
     OutOfDomainError,
+    ParseError,
     PosteriorProfile,
     TooFewClassesError,
     TooLargeError,
@@ -79,6 +80,11 @@ class TestPureModel:
             pure_model(a, [0.5, 0.6], [(1, 2), (1, 2)])
         with pytest.raises(BadWeightsError):
             pure_model(a, [1.0, 0.0], [(1, 2), (1, 2)])
+
+    @pytest.mark.parametrize("weights", [[True], ["1.0"]])
+    def test_text_or_boolean_weight_rejected(self, weights):
+        with pytest.raises(ParseError):
+            pure_model(validate_profile([0.7, 0.3]), weights, [(1, 2)])
 
     def test_nan_weight_rejected(self):
         with pytest.raises(BadWeightsError):
@@ -354,7 +360,7 @@ class TestQpskQ:
 
 
 # An unknown key, a missing key, two floats and two booleans for integers, a
-# non-scalar and a null.
+# non-scalar and a null; then text and booleans for reals.
 BAD_SPECS = [
     {"family": "exponential", "k": 3, "q": 0.3, "m": 5},
     {"family": "three_class", "p": 0.3},
@@ -364,6 +370,13 @@ BAD_SPECS = [
     {"family": "pure", "a": [0.5, 0.5], "weights": [0.5, 0.5], "perms": [[True, 2], [2, 1]]},
     {"family": "exponential", "k": [3], "q": 0.3},
     {"family": "three_class", "p": 0.3, "eps": None},
+    {"family": "exponential", "k": 8, "q": "0.3"},
+    {"family": "three_class", "p": "0.3", "eps": 0.1},
+    {"family": "three_class", "p": 0.3, "eps": False},
+    {"family": "comp_hi", "k": 10, "nu": "2.5"},
+    {"family": "pure", "a": ["0.7", "0.3"], "weights": [1.0], "perms": [[1, 2]]},
+    {"family": "pure", "a": [0.7, 0.3], "weights": [True], "perms": [[1, 2]]},
+    {"family": "pure", "a": [0.7, 0.3], "weights": ["1.0"], "perms": [[1, 2]]},
 ]
 
 

@@ -1,5 +1,6 @@
-"""Model validation, marginals, posteriors, file round-trips, and argument domains."""
+"""Model validation, column marginals and posteriors, file loading, and argument domains."""
 
+import json
 import math
 import re
 
@@ -19,7 +20,6 @@ from misbounds import (
     ParseError,
     TooFewClassesError,
     TooLargeError,
-    ZeroMarginalError,
     extremal_high_profile,
     extremal_low_profile,
     exponential_profile,
@@ -28,10 +28,7 @@ from misbounds import (
     load_model,
     lower_bound,
     lower_fm,
-    marginal,
     phi,
-    posterior,
-    save_model,
     simplex_grid_oracle,
     upper_bound,
     upper_bound_simpl,
@@ -39,7 +36,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.entropy import entropy_columns, lower_fm_array
+from misbounds.entropy import _column_posteriors, entropy_columns, lower_fm_array
 from misbounds.model import clamp, clamp_array, require_at_most, require_class_counts, require_classes
 from misbounds.tv_bounds import envelope_columns
 
@@ -89,11 +86,31 @@ class TestValidateJoint:
         assert m.n == 2
 
     @pytest.mark.parametrize(
-        "raw", [[[0.5, 0.25], [0.25]], "abc", [["0.5", "x"], ["0.5", "0"]], {"w": 1}, [[10**400, 0], [0, 1]]]
+        "raw",
+        [
+            [[0.5, 0.25], [0.25]],
+            "abc",
+            [["0.5", "x"], ["0.5", "0"]],
+            {"w": 1},
+            [[10**400, 0], [0, 1]],
+            # text and booleans, which float() would read as numbers
+            [["0.5"], ["0.5"]],
+            [[True], [False]],
+            [[True, 0.5], [0.0, 0.5]],
+            [[0.5, "0.25"], [0.25, 0]],
+            [[np.bool_(True)], [0]],
+            np.array([[True], [False]]),
+            np.array([["0.5"], ["0.5"]]),
+            np.array([[0.5, "0.5"]], dtype=object),
+        ],
     )
     def test_entries_that_are_not_a_matrix_of_numbers_are_a_parse_error(self, raw):
         with pytest.raises(ParseError, match="expected numbers in a rectangular array"):
             validate_joint(raw)
+
+    def test_integer_and_object_arrays_of_numbers_are_accepted(self):
+        assert validate_joint(np.array([[0], [1]])).k == 2
+        assert validate_joint(np.array([[0.5], [0.5]], dtype=object)).k == 2
 
     def test_missing_entry_prints_as_a_python_float(self):
         with pytest.raises(NegativeEntryError, match=r"^entry at row 1, col 1 is nan; entries must be >= 0$"):
@@ -259,47 +276,42 @@ def test_every_x_entry_refuses_nonfinite(entry, x):
 
 
 class TestMarginalPosterior:
+    """The marginal and the posterior of each observation with mass, as the entropies read them."""
+
     def test_marginal_of_example(self):
-        np.testing.assert_allclose(marginal(validate_joint(EXAMPLE)), [0.5, 0.5])
+        _, mu = _column_posteriors(validate_joint(EXAMPLE))
+        np.testing.assert_allclose(mu, [0.5, 0.5])
 
     def test_marginal_sums_to_one_randomized(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             k, n = int(rng.integers(2, 7)), int(rng.integers(1, 8))
             w = rng.random((k, n))
-            m = validate_joint(w / w.sum())
-            assert marginal(m).sum() == pytest.approx(1.0, abs=1e-12)
+            _, mu = _column_posteriors(validate_joint(w / w.sum()))
+            assert mu.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_posterior_of_example_column_one(self):
-        p = posterior(validate_joint(EXAMPLE), 1)
-        np.testing.assert_allclose(p.a, [0.8, 0.2])
+        ratio, _ = _column_posteriors(validate_joint(EXAMPLE))
+        np.testing.assert_allclose(ratio[:, 0], [0.8, 0.2])
 
     def test_posterior_uniform_for_identical_rows(self):
         k, n = 4, 3
-        m = validate_joint(np.full((k, n), 1.0 / (k * n)))
-        for x in range(1, n + 1):
-            np.testing.assert_allclose(posterior(m, x).a, np.full(k, 0.25))
+        ratio, _ = _column_posteriors(validate_joint(np.full((k, n), 1.0 / (k * n))))
+        np.testing.assert_allclose(ratio, np.full((k, n), 0.25))
 
     def test_posterior_sums_to_one_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             k, n = int(rng.integers(2, 7)), int(rng.integers(1, 8))
             w = rng.random((k, n))
-            m = validate_joint(w / w.sum())
-            x = int(rng.integers(1, n + 1))
-            assert posterior(m, x).a.sum() == pytest.approx(1.0, abs=1e-12)
+            ratio, _ = _column_posteriors(validate_joint(w / w.sum()))
+            np.testing.assert_allclose(ratio.sum(axis=0), np.ones(n), atol=1e-12)
 
     def test_posterior_refuses_zero_marginal(self):
-        m = validate_joint([[0.5, 0.0], [0.5, 0.0]])
-        with pytest.raises(ZeroMarginalError):
-            posterior(m, 2)
-
-    def test_posterior_index_bounds(self):
-        m = validate_joint(EXAMPLE)
-        with pytest.raises(IndexError):
-            posterior(m, 0)
-        with pytest.raises(IndexError):
-            posterior(m, 3)
+        # the empty column gets no posterior, rather than 0/0
+        ratio, mu = _column_posteriors(validate_joint([[0.5, 0.0], [0.5, 0.0]]))
+        assert ratio.tolist() == [[0.5], [0.5]]
+        assert mu.tolist() == [1.0]
 
 
 class TestFileIO:
@@ -308,7 +320,7 @@ class TestFileIO:
         w = rng.random((3, 4))
         m = validate_joint(w / w.sum())
         path = tmp_path / "m.csv"
-        save_model(m, path)
+        path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in m.w) + "\n")
         back = load_model(path)
         assert np.array_equal(back.w, m.w)
 
@@ -317,7 +329,7 @@ class TestFileIO:
         w = rng.random((4, 2))
         m = validate_joint(w / w.sum())
         path = tmp_path / "m.json"
-        save_model(m, path)
+        path.write_text(json.dumps({"k": m.k, "n": m.n, "w": m.w.tolist()}))
         back = load_model(path)
         assert np.array_equal(back.w, m.w)
 
@@ -361,8 +373,10 @@ class TestFileIO:
             ('{"w": [0.5, 0.5], "n": 2}', ParseError),
             ('{"w": [[0.5], [0.5]], "k": 3}', ParseError),
             ('{"w": [[0.5], [0.5]], "n": 2}', ParseError),
+            ('{"w": [[0.5], [0.5]], "k": 2.0}', ParseError),
+            ('{"w": [[0.5], [0.5]], "n": true}', ParseError),
         ],
-        ids=["ragged", "past-float-range", "null", "scalar-w", "vector-w", "k-differs", "n-differs"],
+        ids=["ragged", "past-float-range", "null", "scalar-w", "vector-w", "k-differs", "n-differs", "k-float", "n-bool"],
     )
     def test_json_ragged_or_null_entries_refused(self, tmp_path, text, error):
         path = tmp_path / "m.json"

@@ -4,8 +4,9 @@ The suite runs under whatever numpy is installed, so a name that numpy added
 later (np.vecdot, say) would pass every other test on numpy 2 and fail on
 1.24.  This test reads the source instead: it collects each np.<name> the
 package uses and fails on any name outside FLOOR_CHECKED, the names known to
-exist in numpy 1.24.  A new name goes on that list only once its numpy 1.24
-documentation has been read.  Keywords (np.sort(..., stable=True)) and array
+exist in numpy 1.24, and on any name listed there that the package no longer
+uses, so the list stays exact.  A new name goes on that list only once its
+numpy 1.24 documentation has been read.  Keywords (np.sort(..., stable=True)) and array
 attributes (a.mT) are not seen here.
 """
 
@@ -16,15 +17,15 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "misbounds"
 
-# Every name the package reads off numpy, each present in numpy 1.24.  Dotted
+# Exactly the names the package reads off numpy, each present in numpy 1.24.  Dotted
 # names are attributes of a submodule or of a ufunc.
 FLOOR_CHECKED = {
     "abs", "add", "add.accumulate", "all", "any", "append", "arange", "argmax", "argmin",
-    "argwhere", "array", "asarray", "ascontiguousarray", "broadcast_arrays", "ceil",
-    "errstate", "exp", "finfo", "full", "indices", "inf", "int64", "integer", "linspace",
-    "log", "log1p", "log2", "matmul", "maximum", "min", "ndarray", "random",
-    "random.Generator", "random.default_rng", "repeat", "round", "shape", "sort", "stack",
-    "swapaxes", "unravel_index", "where", "zeros", "zeros_like",
+    "argwhere", "array", "asarray", "ascontiguousarray", "bool_", "broadcast_arrays",
+    "ceil", "errstate", "exp", "finfo", "full", "inf", "int64", "integer", "linspace",
+    "log", "log1p", "log2", "matmul", "maximum", "ndarray", "random", "random.Generator",
+    "random.default_rng", "repeat", "round", "shape", "sort", "stack", "unravel_index",
+    "where", "zeros",
 }
 
 
@@ -53,6 +54,12 @@ def test_the_package_source_is_found():
 def test_numpy_names_exist_at_the_declared_floor(path):
     unchecked = numpy_names(ast.parse(path.read_text())) - FLOOR_CHECKED
     assert not unchecked, f"{path.name} uses numpy names not checked against numpy 1.24: {sorted(unchecked)}"
+
+
+def test_every_checked_name_is_used():
+    used = set().union(*(numpy_names(ast.parse(path.read_text())) for path in MODULES))
+    stale = FLOOR_CHECKED - used
+    assert not stale, f"FLOOR_CHECKED lists numpy names the package no longer uses: {sorted(stale)}"
 
 
 def test_walker_sees_plain_and_submodule_names():
