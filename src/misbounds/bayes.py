@@ -1,55 +1,22 @@
-"""Bayes-optimal classification for finite discrete joint models.
+"""The Bayes error of a finite discrete joint model, and its brute-force referee.
 
 The optimal deterministic rule picks, for each observation x, a label
-maximizing the joint mass w[y, x]; ties break to the smallest label.  A
-rule's error is the mass off its labels (error_of_labels, for a model or a
-stack); the Bayes rule's is the floor, which the exhaustive checker below
-confirms by trying all k^n deterministic rules.
+maximizing the joint mass w[y, x].  A rule given as one 0-based label per
+column errs with the mass off its labels (error_of_labels, for a model or a
+stack); the Bayes rule's error, bayes_error, is the floor, which
+brute_force_bayes_error confirms by trying all k^n deterministic rules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, OutOfRangeError
 from .model import SIZE_LIMIT, JointModel, require_at_most
 
 BRUTE_FORCE_CHUNK = 4096
 SHORT_RUN = 64
-
-
-@dataclass(frozen=True)
-class Classifier:
-    """Deterministic rule: labels[x-1] is the 1-based class chosen at x."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels))
-        self.labels.setflags(write=False)
-
-    def __call__(self, x: int) -> int:
-        return int(self.labels[x - 1])
-
-
-def classifier_error(model: JointModel, clf: Classifier) -> float:
-    """Misclassification probability P(f(X) != Y) of a deterministic rule."""
-    labels = clf.labels
-    if labels.shape != (model.n,):
-        raise LengthMismatchError(
-            f"classifier assigns {labels.size} observations, model has {model.n}"
-        )
-    if labels.dtype.kind not in "iu" or np.any((labels < 1) | (labels > model.k)):
-        raise OutOfRangeError(f"labels must be integers in 1..{model.k}")
-    return float(error_of_labels(model.w, labels - 1))
-
-
-def bayes_classifier(model: JointModel) -> Classifier:
-    """Optimal rule: per column, the smallest label attaining the maximum."""
-    return Classifier(labels=np.argmax(model.w, axis=0).astype(np.int64) + 1)
 
 
 def error_of_labels(w: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -41,11 +41,7 @@ class ParseError(MisboundsError, ValueError):
         self.col = col
 
 
-# --- classification ------------------------------------------------------
-
-
-class LengthMismatchError(MisboundsError, ValueError):
-    """Classifier length does not match the model's observation count."""
+# --- work limits ---------------------------------------------------------
 
 
 class TooLargeError(MisboundsError, ValueError):

@@ -1,4 +1,4 @@
-"""Bayes-optimal classification and the exhaustive classifier oracle."""
+"""The Bayes error, the error of a given rule, and the exhaustive rule oracle."""
 
 import math
 
@@ -6,17 +6,8 @@ import numpy as np
 import pytest
 
 from misbounds import bayes
-from misbounds import (
-    Classifier,
-    LengthMismatchError,
-    OutOfRangeError,
-    TooLargeError,
-    bayes_classifier,
-    bayes_error,
-    brute_force_bayes_error,
-    classifier_error,
-    validate_joint,
-)
+from misbounds import TooLargeError, bayes_error, brute_force_bayes_error, validate_joint
+from misbounds.bayes import error_of_labels
 
 EXAMPLE = validate_joint([[0.4, 0.1], [0.1, 0.4]])
 
@@ -26,80 +17,33 @@ def random_model(rng, k, n):
     return validate_joint(w / w.sum())
 
 
-class TestClassifierError:
+class TestErrorOfLabels:
     def test_matched_rule(self):
-        assert classifier_error(EXAMPLE, Classifier(np.array([1, 2]))) == pytest.approx(0.2)
+        assert error_of_labels(EXAMPLE.w, np.array([0, 1])) == pytest.approx(0.2)
 
     def test_anti_matched_rule(self):
-        assert classifier_error(EXAMPLE, Classifier(np.array([2, 1]))) == pytest.approx(0.8)
+        assert error_of_labels(EXAMPLE.w, np.array([1, 0])) == pytest.approx(0.8)
 
-    def test_perfect_classifier_has_zero_error(self):
-        # all mass on row 1, rule always answers 1
+    def test_perfect_rule_has_zero_error(self):
+        # all mass on the first row, rule always answers the first class
         m = validate_joint([[0.3, 0.7], [0.0, 0.0]])
-        assert classifier_error(m, Classifier(np.array([1, 1]))) == pytest.approx(0.0, abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            classifier_error(EXAMPLE, Classifier(np.array([1, 2, 1])))
-
-    def test_label_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            classifier_error(EXAMPLE, Classifier(np.array([1, 3])))
-
-    def test_labels_from_a_list_are_stored_as_an_array(self):
-        clf = Classifier(labels=[1, 2])
-        assert isinstance(clf.labels, np.ndarray) and not clf.labels.flags.writeable
-        assert classifier_error(EXAMPLE, clf) == classifier_error(EXAMPLE, Classifier(np.array([1, 2])))
-
-    @pytest.mark.parametrize("labels", [[1.5, 2.0], [1.0, 2.0], [True, False]])
-    def test_non_integer_labels_out_of_range(self, labels):
-        with pytest.raises(OutOfRangeError, match=r"labels must be integers in 1\.\.2"):
-            classifier_error(EXAMPLE, Classifier(np.array(labels)))
-
-
-class TestBayesClassifier:
-    def test_example_model(self):
-        assert bayes_classifier(EXAMPLE).labels.tolist() == [1, 2]
-
-    def test_ties_break_to_smallest_label(self):
-        m = validate_joint([[0.2, 0.0], [0.2, 0.6]])
-        assert bayes_classifier(m).labels.tolist() == [1, 2]
-
-    def test_identical_rows_all_label_one(self):
-        m = validate_joint(np.full((3, 4), 1.0 / 12))
-        assert bayes_classifier(m).labels.tolist() == [1, 1, 1, 1]
-
-    def test_labels_are_minimal_argmaxes(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            m = random_model(rng, int(rng.integers(2, 6)), int(rng.integers(1, 6)))
-            f = bayes_classifier(m)
-            for x in range(m.n):
-                col = m.w[:, x]
-                argmaxes = np.flatnonzero(col == col.max())
-                assert f.labels[x] == argmaxes.min() + 1
-
-    def test_callable_interface_is_one_based(self):
-        f = bayes_classifier(EXAMPLE)
-        assert (f(1), f(2)) == (1, 2)
+        assert error_of_labels(m.w, np.array([0, 0])) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestBayesError:
     def test_example_model(self):
         assert bayes_error(EXAMPLE) == pytest.approx(0.2)
 
-    def test_equals_error_of_bayes_classifier(self):
+    def test_equals_one_minus_column_maxima(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             m = random_model(rng, int(rng.integers(2, 8)), int(rng.integers(1, 7)))
-            assert bayes_error(m) == pytest.approx(
-                classifier_error(m, bayes_classifier(m)), abs=1e-14
-            )
+            assert bayes_error(m) == pytest.approx(1.0 - m.w.max(axis=0).sum(), abs=1e-14)
 
     def test_tiny_error_of_bayes_rule_is_exact(self):
         # 1 - (sum of hits) would cancel 1e-15 to 9.992e-16
         m = validate_joint([[0.5 - 1e-15, 0.5], [1e-15, 0.0]])
-        assert classifier_error(m, bayes_classifier(m)) == bayes_error(m) == 1e-15
+        assert error_of_labels(m.w, np.array([0, 0])) == bayes_error(m) == 1e-15
 
     def test_identical_subdistributions_hit_upper_extreme(self):
         for k in (2, 3, 5):
@@ -123,8 +67,8 @@ class TestBayesError:
             k, n = int(rng.integers(2, 6)), int(rng.integers(1, 6))
             m = random_model(rng, k, n)
             star = bayes_error(m)
-            f = Classifier(rng.integers(1, k + 1, size=n))
-            assert classifier_error(m, f) >= star - 1e-14
+            labels = rng.integers(0, k, size=n)
+            assert error_of_labels(m.w, labels) >= star - 1e-14
 
 
 class TestBruteForce:

@@ -21,14 +21,12 @@ from hypothesis import strategies as st
 
 from misbounds import (
     BoundsReport,
-    Classifier,
     DeltaValue,
     EntropyValue,
     MisboundsError,
     PosteriorProfile,
     binomial_profiles,
     bayes_error,
-    classifier_error,
     conditional_entropy,
     delta,
     delta_of_profile,
@@ -213,9 +211,9 @@ def test_model_statistics_match_reference(model):
 
 @settings(max_examples=200)
 @given(models(), st.randoms(use_true_random=False))
-def test_classifier_error_matches_reference(model, random):
-    labels = np.array([random.randint(1, model.k) for _ in range(model.n)])
-    assert classifier_error(model, Classifier(labels)) == reference_mass_off(model.w, labels - 1)
+def test_error_of_labels_matches_reference(model, random):
+    labels = np.array([random.randint(0, model.k - 1) for _ in range(model.n)])
+    assert float(error_of_labels(model.w, labels)) == reference_mass_off(model.w, labels)
 
 
 @settings(max_examples=200)
