@@ -1,8 +1,9 @@
-"""Parametric model families used by the sweeps and comparison scans.
+"""Parametric model families used by the sweeps, the comparison scans and `report --family`.
 
 Each constructor returns a posterior profile (sorted nonincreasing; every
 downstream statistic is permutation-invariant) or, for the pure family, a
 full joint model whose columns all share one profile up to relabeling.
+from_spec builds any of the six from a {"family": name, ...} mapping.
 
 The binomial, exponential and three-class families are written once, as
 batched constructors (``binomial_profiles``, ``exponential_profiles``,
@@ -234,18 +235,6 @@ def comp_hi_stats(k, nu: float) -> dict:
         )
     stats = {"delta": kf - nu, "entropy_nats": h, "p_star": (nu - 1.0) / kf}
     return stats if kf.ndim else {key: float(value) for key, value in stats.items()}
-
-
-def qpsk_q(eb_n0: float) -> float:
-    """Crossover probability of a coherent QPSK symbol decision at E_b/N_0.
-
-    Standard normal tail at sqrt(2 * E_b/N_0), via the complementary error
-    function: Q(x) = erfc(x / sqrt 2) / 2.
-    """
-    if not eb_n0 > 0.0:
-        raise BadParamError(f"eb_n0={eb_n0!r} must be positive")
-    x = math.sqrt(2.0 * eb_n0)
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def _integer_rows(value) -> list:

@@ -1,4 +1,4 @@
-"""Parametric profile families and the QPSK noise mapping."""
+"""Parametric profile families, pure models and family specs."""
 
 import math
 import warnings
@@ -29,7 +29,6 @@ from misbounds import (
     exponential_profile,
     from_spec,
     pure_model,
-    qpsk_q,
     three_class_profile,
     validate_profile,
 )
@@ -326,37 +325,6 @@ class TestCompHiProfile:
 def test_flat_tail_families_refuse_huge_k_before_allocating(build):
     with pytest.raises(TooLargeError):
         build(10**20)
-
-
-class TestQpskQ:
-    def test_reference_points_match_high_precision_erfc(self):
-        # frozen from mpmath.erfc at 40 digits
-        assert qpsk_q(0.25) == pytest.approx(0.23975006109347674, rel=1e-12)
-        assert qpsk_q(0.5) == pytest.approx(0.15865525393145707, rel=1e-12)
-        assert qpsk_q(2.0) == pytest.approx(0.02275013194817921, rel=1e-12)
-        assert qpsk_q(5.0) == pytest.approx(0.0007827011290012748, rel=1e-12)
-
-    def test_matches_mpmath_oracle_across_range(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
-        for eb in (0.01, 0.1, 0.7, 1.0, 3.0, 8.0):
-            x = mpmath.sqrt(2 * mpmath.mpf(repr(eb)))
-            expected = float(mpmath.erfc(x / mpmath.sqrt(2)) / 2)
-            assert qpsk_q(eb) == pytest.approx(expected, rel=1e-12)
-
-    def test_limits(self):
-        assert qpsk_q(1e-12) == pytest.approx(0.5, abs=1e-5)
-        assert qpsk_q(50.0) < 1e-20
-
-    def test_in_open_unit_half_interval(self):
-        rng = np.random.default_rng(89)
-        for _ in range(50):
-            q = qpsk_q(float(rng.uniform(0.001, 10)))
-            assert 0.0 < q < 0.5
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(BadParamError):
-            qpsk_q(0.0)
 
 
 # An unknown key, a missing key, two floats and two booleans for integers, a
