@@ -32,7 +32,8 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     """Assemble a joint model whose every posterior is `profile` relabeled.
 
     Column x places weights[x] * a_i at row perms[x][i].  Permutations are
-    1-based label sequences; weights must be strictly positive and sum to 1.
+    1-based label sequences, each label an integer as `integer` reads it, so
+    a float or a bool is refused; weights must be strictly positive and sum to 1.
     """
     a = profile.a
     k = profile.k
@@ -48,10 +49,13 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
         raise BadPermutationError(f"need {n} permutations, got {len(perms)}")
     w = np.zeros((k, n))
     for x, perm in enumerate(perms):
-        rows = np.asarray(perm, dtype=np.int64)
-        if rows.shape != (k,) or set(rows.tolist()) != set(range(1, k + 1)):
+        try:
+            rows = [integer(label) for label in perm]
+        except TypeError as exc:
+            raise BadPermutationError(f"permutation {x + 1} must hold integer labels: {exc}") from None
+        if sorted(rows) != list(range(1, k + 1)):
             raise BadPermutationError(f"permutation {x + 1} is not a bijection on 1..{k}")
-        w[rows - 1, x] = w_vec[x] * a
+        w[np.array(rows) - 1, x] = w_vec[x] * a
     return JointModel(w=w)
 
 

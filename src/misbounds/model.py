@@ -234,10 +234,16 @@ def load_model(path) -> JointModel:
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(doc, dict) or "w" not in doc:
             raise ParseError(f"{path}: JSON model must be an object with a 'w' field")
-        model = validate_joint(doc["w"])
+        try:
+            model = validate_joint(doc["w"])
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
         for key, size in (("k", model.k), ("n", model.n)):
             if key in doc and _integer_or_none(doc[key]) != size:
-                raise ParseError(f"{path}: {key!r}={doc[key]!r} but 'w' is {model.k} x {model.n}")
+                raise ParseError(
+                    f"{path}: 'k' and 'n' must be integers that match 'w', which is"
+                    f" {model.k} x {model.n}; got {key!r}={doc[key]!r}"
+                )
         return model
 
     rows: list[list[float]] = []

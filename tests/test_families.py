@@ -96,6 +96,11 @@ class TestPureModel:
         with pytest.raises(BadPermutationError):
             pure_model(a, [0.5, 0.5], [(1, 2)])
 
+    @pytest.mark.parametrize("perm", [[1.9, 2.2], [True, 2], [1.0, 2.0], np.array([1.0, 2.0]), "12", 1])
+    def test_labels_that_are_not_integers_rejected(self, perm):
+        with pytest.raises(BadPermutationError):
+            pure_model(validate_profile([0.7, 0.3]), [1.0], [perm])
+
 
 class TestBinomialProfile:
     def test_m_one_is_bernoulli(self):

@@ -385,6 +385,22 @@ class TestFileIO:
             load_model(path)
         assert "np.float64" not in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text", ['{"w": [["x", 0.5], [0.25, 0.25]]}', '{"w": [[0.5, 0.25], [0.25]]}', '{"w": [0.5, 0.5]}']
+    )
+    def test_json_parse_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: expected")):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ['"k": 2.0', '"n": true', '"k": 3'])
+    def test_json_sizes_must_be_integers_matching_w(self, tmp_path, field):
+        path = tmp_path / "m.json"
+        path.write_text('{"w": [[0.5], [0.5]], %s}' % field)
+        with pytest.raises(ParseError, match="'k' and 'n' must be integers that match 'w', which is 2 x 1"):
+            load_model(path)
+
     def test_json_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"k": 3, "n": 2, "w": [[0.4, 0.1], [0.1, 0.4]]}')
