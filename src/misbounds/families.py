@@ -32,8 +32,8 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     """Assemble a joint model whose every posterior is `profile` relabeled.
 
     Column x places weights[x] * a_i at row perms[x][i].  Permutations are
-    1-based label sequences, each label an integer as `integer` reads it, so
-    a float or a bool is refused; weights must be strictly positive and sum to 1.
+    1-based label sequences of integers (a float or a bool is refused);
+    weights must be strictly positive and sum to 1.
     """
     a = profile.a
     k = profile.k
@@ -47,15 +47,15 @@ def pure_model(profile: PosteriorProfile, weights, perms) -> JointModel:
     n = w_vec.size
     if len(perms) != n:
         raise BadPermutationError(f"need {n} permutations, got {len(perms)}")
+    try:
+        rows = _integer_rows(perms)
+    except TypeError as exc:
+        raise BadPermutationError(f"permutations must hold integer labels: {exc}") from None
     w = np.zeros((k, n))
-    for x, perm in enumerate(perms):
-        try:
-            rows = [integer(label) for label in perm]
-        except TypeError as exc:
-            raise BadPermutationError(f"permutation {x + 1} must hold integer labels: {exc}") from None
-        if sorted(rows) != list(range(1, k + 1)):
+    for x, perm in enumerate(rows):
+        if sorted(perm) != list(range(1, k + 1)):
             raise BadPermutationError(f"permutation {x + 1} is not a bijection on 1..{k}")
-        w[np.array(rows) - 1, x] = w_vec[x] * a
+        w[np.array(perm) - 1, x] = w_vec[x] * a
     return JointModel(w=w)
 
 
