@@ -29,6 +29,21 @@ class TestErrorOfLabels:
         m = validate_joint([[0.3, 0.7], [0.0, 0.0]])
         assert error_of_labels(m.w, np.array([0, 0])) == pytest.approx(0.0, abs=1e-15)
 
+    def test_stack_gives_each_model_its_own_error(self):
+        rng = np.random.default_rng(11)
+        w = np.stack([random_model(rng, 3, 4).w for _ in range(6)]).reshape(2, 3, 3, 4)
+        labels = rng.integers(0, 3, size=(2, 3, 4))
+        errors = error_of_labels(w, labels)
+        assert errors.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert errors[i, j] == error_of_labels(w[i, j], labels[i, j])
+
+    def test_leaves_the_masses_unchanged(self):
+        w = EXAMPLE.w.copy()
+        error_of_labels(w, np.array([0, 1]))
+        np.testing.assert_array_equal(w, EXAMPLE.w)
+
 
 class TestBayesError:
     def test_example_model(self):
@@ -39,6 +54,10 @@ class TestBayesError:
         for _ in range(200):
             m = random_model(rng, int(rng.integers(2, 8)), int(rng.integers(1, 7)))
             assert bayes_error(m) == pytest.approx(1.0 - m.w.max(axis=0).sum(), abs=1e-14)
+
+    def test_tied_column_counts_its_mass_off_once(self):
+        m = validate_joint([[0.2, 0.0], [0.2, 0.6]])
+        assert bayes_error(m) == brute_force_bayes_error(m) == 0.2
 
     def test_tiny_error_of_bayes_rule_is_exact(self):
         # 1 - (sum of hits) would cancel 1e-15 to 9.992e-16

@@ -96,6 +96,15 @@ class TestPureModel:
         with pytest.raises(BadPermutationError):
             pure_model(a, [0.5, 0.5], [(1, 2)])
 
+    @pytest.mark.parametrize("as_array", [list, np.array])
+    def test_numpy_integer_permutations_accepted(self, as_array):
+        a = validate_profile([0.5, 0.3, 0.2])
+        rng = np.random.default_rng(3)
+        perms = as_array([rng.permutation(3) + 1 for _ in range(2)])
+        plain = [[int(label) for label in perm] for perm in perms]
+        m = pure_model(a, [0.25, 0.75], perms)
+        np.testing.assert_array_equal(m.w, pure_model(a, [0.25, 0.75], plain).w)
+
     @pytest.mark.parametrize("perm", [[1.9, 2.2], [True, 2], [1.0, 2.0], np.array([1.0, 2.0]), "12", 1])
     def test_labels_that_are_not_integers_rejected(self, perm):
         with pytest.raises(BadPermutationError):
