@@ -171,13 +171,13 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         text, code = COMMANDS[args.command](args)
+        _emit(text, args.out)
     except InvariantViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except (MisboundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(text, args.out)
     return code
 
 

@@ -533,32 +533,54 @@ _BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _cell(value) -> str:
-    """CSV text of one cell: empty for None, true/false for a bool, repr for a float, else str."""
+    """CSV text of one cell: empty for None, true/false for a bool, float repr for a float, else str.
+
+    numpy scalars follow their Python kind: np.bool_ is a bool, and
+    np.float64, a float subclass, is written by float.__repr__.
+    """
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return _BOOL_TEXT[value]
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
 CSV_BLOCK_ROWS = 1024
 
-# Exact cell type -> its _cell text, for columns that hold a single type.
+# Exact cell type -> its _cell text, for columns that hold a single type other than float.
 _COLUMN_FORMATS = {
-    float: float.__repr__,
     int: int.__repr__,
     str: str.__str__,
     bool: _BOOL_TEXT.__getitem__,
 }
 
 
+def _float_cells(values: list) -> list:
+    """float.__repr__ of every value in a list of floats, from one orjson.dumps.
+
+    orjson writes the same shortest round-trip digits as repr, but in its own
+    notation where |x| < 1e-4 or |x| >= 1e16 (0.00001 for 1e-05, 1e16 for
+    1e+16), and null for NaN and inf.  Those cells, zeros apart, are written
+    by repr.
+    """
+    import orjson  # here, not at the top: only CSV output needs it
+
+    cells = orjson.dumps(values).decode()[1:-1].split(",")
+    size = np.abs(np.array(values))
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (size != 0.0)).tolist():
+        cells[i] = float.__repr__(values[i])
+    return cells
+
+
 def _column_cells(values: list) -> list:
     """_cell of every value in a column, mapped at once when the column holds one type."""
     kinds = set(map(type, values))
-    format_ = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(format_ or _cell, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return _float_cells(values)
+    return list(map(_COLUMN_FORMATS.get(kind, _cell), values))
 
 
 def table_to_csv(table: dict, header_comments=()) -> str:

@@ -2,14 +2,20 @@
 
 The reference is the CSV writer as first written: it renders every cell of
 every dict row, one at a time, with the cell rules spelled out here, so it
-shares no code with the block-wise column writer it referees.
+shares no code with the block-wise column writer it referees.  Its float
+cells are float.__repr__, which numpy's float64 (a float subclass) also
+takes, and numpy's bool_ is a bool.
 """
 
 import json
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from misbounds.cli import main
 from misbounds.report import (
@@ -32,10 +38,10 @@ from misbounds.report import (
 def reference_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
@@ -154,3 +160,44 @@ def test_empty_table_renders_its_comments_alone(table, header):
 def test_empty_sweep_renders_nothing():
     assert fig2_rows(p_list=()) == []
     assert table_to_csv(fig2_table(p_list=())) == ""
+
+
+def test_numpy_scalars_take_their_python_cell_text():
+    rows = [{"a": np.float64(0.5), "b": np.bool_(True), "c": np.bool_(False), "d": np.int64(2)}]
+    assert rows_to_csv(rows) == "a,b,c,d\n0.5,true,false,2\n"
+
+
+def float_column_csv(values: list) -> str:
+    """The writer's CSV of one all-float column, with each cell checked against float.__repr__."""
+    text = table_to_csv({"x": values})
+    assert text == "".join(f"{cell}\n" for cell in ["x", *map(float.__repr__, values)])
+    return text
+
+
+# any 64-bit pattern: every finite double, subnormals, infinities and NaN payloads
+doubles = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@given(st.lists(st.one_of(st.floats(), doubles), min_size=1, max_size=CSV_BLOCK_ROWS + 2))
+def test_float_cells_are_float_repr(values):
+    float_column_csv(values)
+
+
+def neighbours(x: float) -> list:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        neighbours(1e-4) + neighbours(-1e-4),
+        neighbours(1e16) + neighbours(-1e16),
+        [2.0**53, 2.0**53 + 2, -(2.0**53)],
+        [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max],
+        [math.nan, math.inf, -math.inf, 1.0],
+    ],
+    ids=["1e-4", "1e16", "2**53", "zeros-and-extremes", "nonfinite"],
+)
+def test_float_cells_at_the_notation_edges(values):
+    float_column_csv(values)
+

@@ -728,6 +728,14 @@ class TestCli:
         assert lines[0] == "delta,L,U,U_simpl"
         assert len(lines) == 402
 
+    @pytest.mark.parametrize("out", ["missing/fig1.csv", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_one(self, tmp_path, out, capsys):
+        assert main(["fig1", "--out", str(tmp_path / out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_fig1_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["fig1", "--k", "4", "--out", str(a)])
@@ -789,6 +797,13 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("delta,L,U,U_simpl")
+
+    def test_import_leaves_orjson_unloaded(self):
+        # only CSV output loads orjson; the API alone never needs it
+        code = "import sys, misbounds, misbounds.cli; print('orjson' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=CHILD_ENV, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
 
     def test_package_runs_as_a_module(self):
         proc = subprocess.run(
