@@ -12,7 +12,10 @@ The sweeps run as columns from parameters to text: ``fig1_table``,
 renders any such table as CSV a block of rows at a time.  Dict rows are
 built only on request, by ``table_rows`` (the ``*_rows`` functions and
 ``CompareHiScan.rows``); ``rows_to_csv`` turns dict rows into a table for
-the same writer, so the CSV cell rules exist once.
+the same writer, so the CSV cell rules exist once.  A float cell is its
+``float.__repr__`` text; a column of floats gets it from one
+``orjson.dumps`` call, which writes the same digits several times faster,
+with ``repr`` kept for the cells where orjson's notation differs.
 """
 
 from __future__ import annotations

@@ -167,11 +167,9 @@ def test_numpy_scalars_take_their_python_cell_text():
     assert rows_to_csv(rows) == "a,b,c,d\n0.5,true,false,2\n"
 
 
-def float_column_csv(values: list) -> str:
-    """The writer's CSV of one all-float column, with each cell checked against float.__repr__."""
-    text = table_to_csv({"x": values})
-    assert text == "".join(f"{cell}\n" for cell in ["x", *map(float.__repr__, values)])
-    return text
+def assert_float_cells_are_repr(values: list):
+    """The writer's CSV of one all-float column has float.__repr__ in every cell."""
+    assert table_to_csv({"x": values}) == "".join(f"{cell}\n" for cell in ["x", *map(float.__repr__, values)])
 
 
 # any 64-bit pattern: every finite double, subnormals, infinities and NaN payloads
@@ -180,11 +178,11 @@ doubles = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.
 
 @given(st.lists(st.one_of(st.floats(), doubles), min_size=1, max_size=CSV_BLOCK_ROWS + 2))
 def test_float_cells_are_float_repr(values):
-    float_column_csv(values)
+    assert_float_cells_are_repr(values)
 
 
 def neighbours(x: float) -> list:
-    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
 @pytest.mark.parametrize(
@@ -199,5 +197,4 @@ def neighbours(x: float) -> list:
     ids=["1e-4", "1e16", "2**53", "zeros-and-extremes", "nonfinite"],
 )
 def test_float_cells_at_the_notation_edges(values):
-    float_column_csv(values)
-
+    assert_float_cells_are_repr(values)
