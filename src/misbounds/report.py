@@ -8,14 +8,15 @@ sandwich verify suite iterate.
 
 The sweeps run as columns from parameters to text: ``fig1_table``,
 ``fig2_table``, ``fig3_table`` and ``compare_hi_scan`` return column tables
-(column name -> equal-length list of Python scalars), and ``table_to_csv``
-renders any such table as CSV a block of rows at a time.  Dict rows are
+(column name -> the numpy array a kernel computed, or a list where the
+column holds text or an empty cell), and ``table_to_csv`` renders any such
+table as CSV a block of rows at a time.  Dict rows of Python scalars are
 built only on request, by ``table_rows`` (the ``*_rows`` functions and
-``CompareHiScan.rows``); ``rows_to_csv`` turns dict rows into a table for
-the same writer, so the CSV cell rules exist once.  A float cell is its
-``float.__repr__`` text; a column of floats gets it from one
+``CompareHiScan.rows``); ``rows_to_csv`` turns dict rows into a table of
+lists for the same writer, so the CSV cell rules exist once.  A float cell
+is its ``float.__repr__`` text; an array column gets its cells from one
 ``orjson.dumps`` call, which writes the same digits several times faster,
-with ``repr`` kept for the cells where orjson's notation differs.
+with ``repr`` kept for the float cells where orjson's notation differs.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bayes import bayes_error, brute_force_bayes_error, error_of_labels
 from .entropy import (
     _lower_fm,
+    _math_map,
     _upper_fm,
     conditional_entropy,
     entropy_columns,
@@ -199,8 +201,14 @@ def _profile_columns(k: int, profiles: np.ndarray) -> dict:
 
 
 def table_rows(table: dict) -> list:
-    """Dict rows, in column order, of a column table."""
-    return [dict(zip(table, row)) for row in zip(*table.values())]
+    """Dict rows of Python scalars, in column order, of a column table."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    return [dict(zip(table, row)) for row in zip(*columns)]
+
+
+def _joined(parts: list):
+    """The sweep's column parts end to end; a sweep with no parts has no rows, so an empty list."""
+    return np.concatenate(parts) if parts else []
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -227,7 +235,7 @@ def fig1_table(k: int, delta_step: float = 0.01) -> dict:
         raise InvariantViolationError(
             f"bound chain broken at delta={float(columns['delta'][np.argmax(broken)])}"
         )
-    return {name: column.tolist() for name, column in columns.items()}
+    return columns
 
 
 def fig1_rows(k: int, delta_step: float = 0.01) -> list:
@@ -240,27 +248,32 @@ FIG2_POINTS = 101
 FIG2_LOG_COLUMNS = ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star")
 
 
+def _log10_column(values: np.ndarray):
+    """math.log10 of each value: an array, or a list with None for each nonpositive value."""
+    if (values > 0.0).all():
+        return _math_map(math.log10)(values)
+    return [log10_or_none(v) for v in values.tolist()]
+
+
 def fig2_table(p_list=FIG2_DEFAULT_P, points: int = FIG2_POINTS) -> dict:
     """Three-class log-scale sweep as a column table: for each target error p, scan feasible eps."""
     points = integer_at_least(points, "points", 1)
     p_list = list(p_list)
     require_at_most(len(p_list) * points, SIZE_LIMIT, "rows")
-    p_column, eps_column = [], []
+    p_parts, eps_parts = [], []
     for p in p_list:
         lo = max(2.0 * p - 1.0, 0.0)
         hi = p / 2.0
         # at p = 2/3 the feasible range collapses to a point (up to round-off)
         if hi - lo <= 1e-12:
-            eps_grid = [float(0.5 * (lo + hi))]
+            eps_grid = np.full(1, 0.5 * (lo + hi))
         else:
-            eps_grid = np.linspace(lo, hi, points).tolist()
-        p_column += [float(p)] * len(eps_grid)
-        eps_column += eps_grid
+            eps_grid = np.linspace(lo, hi, points)
+        p_parts.append(np.full(eps_grid.size, float(p)))
+        eps_parts.append(eps_grid)
+    p_column, eps_column = _joined(p_parts), _joined(eps_parts)
     columns = _profile_columns(3, three_class_profiles(p_column, eps_column))
-    logs = {
-        f"log10_{name}": [log10_or_none(v) for v in columns[name].tolist()]
-        for name in FIG2_LOG_COLUMNS
-    }
+    logs = {f"log10_{name}": _log10_column(columns[name]) for name in FIG2_LOG_COLUMNS}
     return {"p": p_column, "eps": eps_column, **logs}
 
 
@@ -277,10 +290,10 @@ def fig3_table(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> dict:
     """Binomial and geometric-profile bound sweeps over q in (0, 1/2], as a column table."""
     if not 0.0 < q_step <= 0.5:
         raise BadParamError(f"q_step={q_step!r} must lie in (0, 0.5]")
-    q_grid = _grid(q_step, 0.5, q_step).tolist()
+    q_grid = _grid(q_step, 0.5, q_step)
     k_list = [require_classes(k) for k in k_list]
-    require_at_most(2 * len(k_list) * len(q_grid), SIZE_LIMIT, "rows")
-    table = {name: [] for name in ("family", "k", "q", *FIG3_COLUMNS)}
+    require_at_most(2 * len(k_list) * q_grid.size, SIZE_LIMIT, "rows")
+    family_column, parts = [], []  # parts: one {name: array} per chunk of rows
     for family in ("binomial", "exponential"):
         for k in k_list:
             if family == "binomial":
@@ -292,15 +305,14 @@ def fig3_table(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> dict:
                 stack = functools.partial(exponential_profiles, k)
             # stacks of at most SIZE_LIMIT entries keep memory linear in k
             chunk = max(1, SIZE_LIMIT // k)
-            for start in range(0, len(q_grid), chunk):
+            for start in range(0, q_grid.size, chunk):
                 qs = q_grid[start : start + chunk]
-                columns = _profile_columns(k, stack(qs))
-                table["family"] += [family] * len(qs)
-                table["k"] += [k] * len(qs)
-                table["q"] += qs
-                for name in FIG3_COLUMNS:
-                    table[name] += columns[name].tolist()
-    return table
+                parts.append({"k": np.full(qs.size, k), "q": qs, **_profile_columns(k, stack(qs))})
+            family_column += [family] * q_grid.size
+    return {
+        "family": family_column,
+        **{name: _joined([part[name] for part in parts]) for name in ("k", "q", *FIG3_COLUMNS)},
+    }
 
 
 def fig3_rows(k_list=FIG3_DEFAULT_K, q_step: float = 0.005) -> list:
@@ -349,13 +361,16 @@ def compare_lo_rows(k_max: int = 50, k_min: int = 3) -> list:
 class CompareHiScan:
     """Scan of the dominant-entry family for where U(delta) beats U_FM(H).
 
-    ``table`` holds the scanned rows as a column table.
+    ``table`` holds the scanned rows as a column table of numpy arrays: k
+    (int64), delta, entropy_nats, U and U_FM (float64), and U_exceeds_U_FM
+    (bool).  ``rows`` gives them as Python scalars.  Scans compare by nu,
+    k_max and crossover_k, which determine the table.
     """
 
     nu: float
     k_max: int
     crossover_k: int | None
-    table: dict
+    table: dict = field(compare=False)
 
     @property
     def rows(self) -> tuple:
@@ -404,12 +419,7 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
         "U_FM": columns["U_FM"],
         "U_exceeds_U_FM": exceeds,
     }
-    return CompareHiScan(
-        nu=nu,
-        k_max=k_max,
-        crossover_k=crossover,
-        table={name: column.tolist() for name, column in table.items()},
-    )
+    return CompareHiScan(nu=nu, k_max=k_max, crossover_k=crossover, table=table)
 
 
 # --- verify suites ----------------------------------------------------------
@@ -552,42 +562,30 @@ def _cell(value) -> str:
 
 CSV_BLOCK_ROWS = 1024
 
-# Exact cell type -> its _cell text, for columns that hold a single type other than float.
-_COLUMN_FORMATS = {
-    int: int.__repr__,
-    str: str.__str__,
-    bool: _BOOL_TEXT.__getitem__,
-}
 
+def _column_cells(column) -> list:
+    """_cell of every value in a column: a list cell by cell, a numpy array in one orjson.dumps.
 
-def _float_cells(values: list) -> list:
-    """float.__repr__ of every value in a list of floats, from one orjson.dumps.
-
-    orjson writes the same shortest round-trip digits as repr, but in its own
-    notation where |x| < 1e-4 or |x| >= 1e16 (0.00001 for 1e-05, 1e16 for
-    1e+16), and null for NaN and inf.  Those cells, zeros apart, are written
-    by repr.
+    An array is float64, int64 or bool.  For floats orjson writes the same
+    shortest round-trip digits as repr, but in its own notation where
+    |x| < 1e-4 or |x| >= 1e16 (0.00001 for 1e-05, 1e16 for 1e+16), and null
+    for NaN and inf.  Those cells, zeros apart, are written by repr.
     """
+    if not isinstance(column, np.ndarray):
+        return list(map(_cell, column))
     import orjson  # here, not at the top: only CSV output needs it
 
-    cells = orjson.dumps(values).decode()[1:-1].split(",")
-    size = np.abs(np.array(values))
-    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (size != 0.0)).tolist():
-        cells[i] = float.__repr__(values[i])
+    column = np.ascontiguousarray(column)  # orjson writes C-contiguous arrays only
+    cells = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    if column.dtype.kind == "f":
+        size = np.abs(column)
+        for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (size != 0.0)).tolist():
+            cells[i] = float.__repr__(column[i])
     return cells
 
 
-def _column_cells(values: list) -> list:
-    """_cell of every value in a column, mapped at once when the column holds one type."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        return _float_cells(values)
-    return list(map(_COLUMN_FORMATS.get(kind, _cell), values))
-
-
 def table_to_csv(table: dict, header_comments=()) -> str:
-    """Render a column table (name -> equal-length list) as CSV.
+    """Render a column table (name -> equal-length list or numpy array) as CSV.
 
     Rows are rendered a CSV_BLOCK_ROWS block at a time, so that only one
     block's cell strings are alive at once.  A table with no rows renders

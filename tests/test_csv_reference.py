@@ -5,6 +5,9 @@ every dict row, one at a time, with the cell rules spelled out here, so it
 shares no code with the block-wise column writer it referees.  Its float
 cells are float.__repr__, which numpy's float64 (a float subclass) also
 takes, and numpy's bool_ is a bool.
+
+Texts are compared by assert_same_text, which names the first line that
+differs; pytest's own diff of two texts of thousands of lines takes minutes.
 """
 
 import json
@@ -57,6 +60,21 @@ def reference_rows_to_csv(rows: list, header_comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got: str, want: str):
+    """got == want, or a failure that names the first differing line of the two."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        line = next(
+            (i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+            min(len(got_lines), len(want_lines)),
+        )
+        pytest.fail(
+            f"texts differ first at line {line + 1} of {len(got_lines)} (got) and {len(want_lines)} (want): "
+            f"got {got_lines[line : line + 1]}, want {want_lines[line : line + 1]}",
+            pytrace=False,
+        )
+
+
 def run_cli(capsys, argv) -> str:
     assert main(argv) == 0
     return capsys.readouterr().out
@@ -77,13 +95,13 @@ def crossover_comment(scan) -> str:
     ],
 )
 def test_default_sweep_csv_is_the_row_writer_output(capsys, argv, rows):
-    assert run_cli(capsys, argv) == reference_rows_to_csv(rows())
+    assert_same_text(run_cli(capsys, argv), reference_rows_to_csv(rows()))
 
 
 def test_compare_hi_csv_is_the_row_writer_output(capsys):
     scan = compare_hi_scan(2.0, 10000)
     want = reference_rows_to_csv(list(scan.rows), header_comments=(crossover_comment(scan),))
-    assert run_cli(capsys, ["compare-hi"]) == want
+    assert_same_text(run_cli(capsys, ["compare-hi"]), want)
 
 
 @pytest.mark.parametrize(
@@ -91,7 +109,7 @@ def test_compare_hi_csv_is_the_row_writer_output(capsys):
     [(["fig1"], lambda: fig1_rows(5)), (["fig2"], fig2_rows), (["fig3"], fig3_rows)],
 )
 def test_sweep_json_is_the_dict_rows(capsys, argv, rows):
-    assert run_cli(capsys, argv + ["--format", "json"]) == rows_to_json(rows())
+    assert_same_text(run_cli(capsys, argv + ["--format", "json"]), rows_to_json(rows()))
 
 
 def test_compare_hi_json_lists_the_dict_rows(capsys):
@@ -109,7 +127,23 @@ def test_table_rows_follow_the_table_columns(table):
     table = table()
     rows = table_rows(table)
     assert [list(row) for row in rows] == [list(table)] * len(rows)
-    assert {name: [row[name] for row in rows] for name in table} == table
+    columns = {name: column if isinstance(column, list) else column.tolist() for name, column in table.items()}
+    assert {name: [row[name] for row in rows] for name in table} == columns
+
+
+@pytest.mark.parametrize(
+    "rows, kinds",
+    [
+        (lambda: fig1_rows(5), {float}),
+        (lambda: fig2_rows((0.0, 0.3), 5), {float, type(None)}),
+        (fig3_rows, {str, int, float}),
+        (lambda: compare_hi_scan(2.0, 50).rows, {int, float, bool}),
+    ],
+    ids=["fig1", "fig2", "fig3", "compare-hi"],
+)
+def test_table_rows_hold_python_scalars(rows, kinds):
+    # exact types: a numpy scalar here would reach json.dumps and the callers of the rows
+    assert {type(cell) for row in rows() for cell in row.values()} == kinds
 
 
 def mixed_rows(count: int) -> list:
@@ -131,6 +165,22 @@ def mixed_rows(count: int) -> list:
     ]
 
 
+def array_columns(count: int) -> dict:
+    """Array columns of each dtype the sweeps write, floats across every notation, and strided views."""
+    i = np.arange(count)
+    floats = (i - count / 2) / 7 * 10.0 ** (i % 48 - 24)
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-4]
+    for j in range(5, count, 11):
+        floats[j] = specials[j // 11 % len(specials)]
+    return {
+        "f_arr": floats,
+        "i_arr": i.astype(np.int64) - 1000,
+        "b_arr": i % 3 == 0,
+        "f_view": np.concatenate([floats, floats])[::2],
+        "i_view": np.arange(2 * count, dtype=np.int64)[::-2],
+    }
+
+
 @pytest.mark.parametrize(
     "count", [1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 5]
 )
@@ -138,9 +188,14 @@ def mixed_rows(count: int) -> list:
 def test_column_writer_matches_the_row_writer(count, header):
     rows = mixed_rows(count)
     table = {name: [row[name] for row in rows] for name in rows[0]}
+    arrays = array_columns(count)
+    table.update(arrays)
+    for name, column in arrays.items():
+        for row, value in zip(rows, column.tolist()):
+            row[name] = value
     want = reference_rows_to_csv(rows, header_comments=header)
-    assert table_to_csv(table, header_comments=header) == want
-    assert rows_to_csv(rows, header_comments=header) == want
+    assert_same_text(table_to_csv(table, header_comments=header), want)
+    assert_same_text(rows_to_csv(rows, header_comments=header), want)
 
 
 def test_rows_with_missing_and_extra_keys():
@@ -160,6 +215,8 @@ def test_empty_table_renders_its_comments_alone(table, header):
 def test_empty_sweep_renders_nothing():
     assert fig2_rows(p_list=()) == []
     assert table_to_csv(fig2_table(p_list=())) == ""
+    assert fig3_rows(k_list=()) == []
+    assert table_to_csv(fig3_table(k_list=())) == ""
 
 
 def test_numpy_scalars_take_their_python_cell_text():
@@ -168,8 +225,10 @@ def test_numpy_scalars_take_their_python_cell_text():
 
 
 def assert_float_cells_are_repr(values: list):
-    """The writer's CSV of one all-float column has float.__repr__ in every cell."""
-    assert table_to_csv({"x": values}) == "".join(f"{cell}\n" for cell in ["x", *map(float.__repr__, values)])
+    """The writer's CSV of one all-float column, as a list and as an array, has float.__repr__ in every cell."""
+    want = "".join(f"{cell}\n" for cell in ["x", *map(float.__repr__, values)])
+    assert_same_text(table_to_csv({"x": values}), want)
+    assert_same_text(table_to_csv({"x": np.array(values)}), want)
 
 
 # any 64-bit pattern: every finite double, subnormals, infinities and NaN payloads

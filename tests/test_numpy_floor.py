@@ -22,8 +22,8 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "misbounds"
 FLOOR_CHECKED = {
     "abs", "add", "add.accumulate", "all", "append", "arange", "argmax", "argmin",
     "argwhere", "array", "asarray", "ascontiguousarray", "bool_", "broadcast_arrays",
-    "ceil", "errstate", "exp", "finfo", "flatnonzero", "full", "inf", "int64", "integer",
-    "linspace", "log", "log1p", "log2", "matmul", "maximum", "ndarray", "random",
+    "ceil", "concatenate", "errstate", "exp", "finfo", "flatnonzero", "full", "inf", "int64",
+    "integer", "linspace", "log", "log1p", "log2", "matmul", "maximum", "ndarray", "random",
     "random.Generator", "random.default_rng", "repeat", "round", "shape", "sort", "stack",
     "unravel_index", "where", "zeros",
 }

@@ -315,6 +315,11 @@ class TestCompareHi:
         scan = compare_hi_scan(2.5, 10)
         assert [r["k"] for r in scan.rows] == [3, 4, 5, 6, 7, 8, 9, 10]
 
+    def test_scans_compare_by_their_parameters(self):
+        # the table holds numpy arrays, which == cannot reduce to one truth value
+        assert compare_hi_scan(2.0, 50) == compare_hi_scan(2.0, 50)
+        assert compare_hi_scan(2.0, 50) != compare_hi_scan(2.0, 51)
+
     def test_validation(self):
         with pytest.raises(BadParamError):
             compare_hi_scan(1.0, 100)
