@@ -5,12 +5,12 @@ models, profiles and stacks alike, pins the Bayes error between the
 Feder-Merhav bounds: the lower bound inverts the strictly increasing map
 phi(p) = p ln(k-1) + h2(p) by a safeguarded Newton iteration that is
 accurate relative to p, so it stays a lower bound for tiny p*, and the upper
-bound is piecewise linear in H with knots at ln m.  Each bound has a column
-form for sweeps, lower_fm_array and upper_fm_array; lower_fm_array runs the
-same iteration over every entry at once and returns lower_fm's floats bit
-for bit.  Renyi conditional entropy (base 2) exists only to evaluate a
-published two-class fixture on which a claimed entropy upper bound goes
-negative, refuting it.
+bound is piecewise linear in H with knots at ln m.  A sweep clamps its
+entropy column once, in entropy_columns, and runs the scalar bodies on it:
+_upper_fm with numpy's primitives, and _lower_fm_column, _lower_fm's
+iteration over every entry at once, bit for bit.  Renyi conditional entropy
+(base 2) exists only to evaluate a published two-class fixture on which a
+claimed entropy upper bound goes negative, refuting it.
 """
 
 from __future__ import annotations
@@ -97,17 +97,13 @@ def posterior_entropies(posteriors: np.ndarray, mass) -> np.ndarray:
 def _column_posteriors(model: JointModel) -> tuple:
     """The posterior of each observation that has mass, one per column, and that mass.
 
-    The posteriors are column-major, the layout boolean indexing gives them,
-    whichever path built them: the sums in posterior_entropies then run in
-    the same order, and a k >= 8 entropy keeps its last bit.
+    Boolean indexing leaves them column-major, the layout whose summation
+    order in posterior_entropies fixes the last bit of a k >= 8 entropy.
     """
     mu = model.w.sum(axis=0)
     live = mu > 0
-    if not live.all():
-        return model.w[:, live] / mu[live], mu[live]
-    ratio = model.w.T.copy()
-    ratio /= mu[:, None]
-    return ratio.T, mu
+    mu = mu[live]
+    return model.w[:, live] / mu, mu
 
 
 def conditional_entropy(model: JointModel) -> EntropyValue:
@@ -223,17 +219,15 @@ def _lower_fm(k: int, h: float) -> float:
     return _phi_inverse(k, h)[0]
 
 
-def lower_fm_array(k: int, h) -> np.ndarray:
-    """lower_fm(k, x) for every entry x of an entropy array, bit for bit, in one Newton pass.
+def _lower_fm_column(k: int, h: np.ndarray) -> np.ndarray:
+    """_lower_fm of every entry of an entropy array already in [0, ln k], bit for bit, in one Newton pass.
 
-    Entries are clamped and sorted out as lower_fm does it; every interior
-    entry gets _phi_inverse's seed, its own bracket and its own stop test, and
-    is frozen at the iteration where the scalar loop would stop.  The
-    logarithms are the math module's, mapped over the entries still live.
+    Entries are sorted out as _lower_fm does it; every interior entry gets
+    _phi_inverse's seed, its own bracket and its own stop test, and is frozen
+    at the iteration where the scalar loop would stop.  The logarithms are
+    the math module's, mapped over the entries still live.
     """
-    k = require_classes(k)
     log_k = math.log(k)
-    h = clamp_array(h, 0.0, log_k, H_SLACK, EntropyOutOfRangeError, "h")
     top = 1.0 - 1.0 / k
     shape, flat = h.shape, h.reshape(-1)
     out = np.where(log_k - flat <= H_SLACK, top, 0.0)
@@ -249,7 +243,7 @@ def lower_fm_array(k: int, h) -> np.ndarray:
     live = p > 0.0
     p, h, index = p[live], h[live], index[live]
     lo, hi = np.zeros(p.size), np.full(p.size, top)
-    rounding = 4.0 * _math_map(math.ulp)(h)
+    rounding = 4.0 * np.spacing(h)  # math.ulp, as h > 0 here
     for _ in range(NEWTON_MAX_ITER):
         residual, step, done = _newton_step(p, h, log_km1, rounding, log, log1p)
         out[index[done]] = p[done]
@@ -281,27 +275,15 @@ def upper_fm(h: float) -> float:
     first knot (ln 1 = 0) stays legal, and up to LOG_FLOAT_MAX, where
     exp(H) still fits in a double.
     """
-    return _upper_fm(clamp(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h"))
+    h = clamp(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h")
+    return _upper_fm(h, math.exp, math.log, math.log1p, snapped_ceil)
 
 
-def _upper_fm(h: float) -> float:
-    """upper_fm at an h already in [0, LOG_FLOAT_MAX]."""
-    e = max(snapped_ceil(math.exp(h)) - 1, 1)
-    return _upper_fm_branch(h, e, math.log, math.log1p)
-
-
-def _upper_fm_branch(h, e, log, log1p):
-    """The bound on branch e, for a float or an array; log and log1p match the argument."""
+def _upper_fm(h, exp, log, log1p, ceil):
+    """upper_fm at an h already in [0, LOG_FLOAT_MAX]; exp, log, log1p and ceil match h, a float or an array."""
+    e = ceil(exp(h)) - 1
+    e = e + (e < 1)
     return (e - 1.0) / e + (h - log(e)) / log1p(1.0 / e) / (e * (e + 1.0))
-
-
-def upper_fm_array(h: np.ndarray) -> np.ndarray:
-    """upper_fm of every entry, with numpy's exp and log in place of the math module's."""
-    h = clamp_array(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h")
-    e = np.maximum(snapped_ceil_array(np.exp(h)) - 1.0, 1.0)
-    # e (e + 1) overflows to inf near LOG_FLOAT_MAX, as the float product does in upper_fm
-    with np.errstate(over="ignore"):
-        return _upper_fm_branch(h, e, np.log, np.log1p)
 
 
 def entropy_columns(k, h) -> dict:
@@ -322,7 +304,7 @@ def entropy_columns(k, h) -> dict:
     else:
         log_k = math.log(k)
     h = clamp_array(h, 0.0, log_k, H_SLACK, EntropyOutOfRangeError, "h")
-    return {"entropy_nats": h, "U_FM": upper_fm_array(h)}
+    return {"entropy_nats": h, "U_FM": _upper_fm(h, np.exp, np.log, np.log1p, snapped_ceil_array)}
 
 
 def renyi_conditional_entropy(model: JointModel, beta: float) -> RenyiValue:

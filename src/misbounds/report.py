@@ -31,13 +31,13 @@ import numpy as np
 from .bayes import bayes_error, brute_force_bayes_error, error_of_labels
 from .entropy import (
     _lower_fm,
+    _lower_fm_column,
     _math_map,
     _upper_fm,
     conditional_entropy,
     entropy_columns,
     entropy_of_profile,
     ep_counterexample_check,
-    lower_fm_array,
     phi,
     posterior_entropies,
 )
@@ -60,6 +60,7 @@ from .tv_bounds import (
     lower_bound,
     separations,
     simplex_grid_oracle,
+    snapped_ceil,
     upper_bound,
     extremal_high_profile,
     extremal_low_profile,
@@ -133,10 +134,10 @@ class BoundsReport:
             entropy_nats=h,
             p_star=p_star,
             L=_lower(k, d),
-            U=_upper(k, d),
+            U=_upper(k, d, snapped_ceil),
             U_simpl=_upper_simpl(k, d),
             L_FM=_lower_fm(k, h),
-            U_FM=_upper_fm(h),
+            U_FM=_upper_fm(h, math.exp, math.log, math.log1p, snapped_ceil),
         )
 
     @classmethod
@@ -185,9 +186,9 @@ def _profile_columns(k: int, profiles: np.ndarray) -> dict:
     """The fields of BoundsReport.from_profile, as columns, for a (B, k) stack of profiles.
 
     Each profile is a k x 1 model of the stack w whose one column has unit
-    mass, as from_profile takes it.  L_FM is lower_fm_array over the entropy
-    column, one Newton pass that gives each row lower_fm's float.  The chains
-    are checked before return.
+    mass, as from_profile takes it.  Each column is clamped once, and each
+    bound is the body a report runs; L_FM is _lower_fm_column, one Newton
+    pass that gives each row _lower_fm's float.  The chains are checked.
     """
     w = profiles[..., None]
     columns = {
@@ -195,7 +196,7 @@ def _profile_columns(k: int, profiles: np.ndarray) -> dict:
         **entropy_columns(k, posterior_entropies(w, 1.0)),
         "p_star": error_of_labels(w, w.argmax(axis=-2)),
     }
-    columns["L_FM"] = lower_fm_array(k, columns["entropy_nats"])
+    columns["L_FM"] = _lower_fm_column(k, columns["entropy_nats"])
     _check_chain(columns)
     return columns
 
@@ -394,8 +395,9 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
     it does.  Entropy and separation come from closed forms, evaluated over
     the whole k range as arrays; at most SIZE_LIMIT class counts are scanned.
     """
-    if not 1.0 < nu < math.inf:
-        raise BadParamError(f"nu={nu!r} must be finite and exceed 1")
+    if not 1.0 < nu < 2.0**53:
+        # from 2**53 on, a class count above nu rounds to nu as a double
+        raise BadParamError(f"nu={nu!r} must exceed 1 and lie below 2**53")
     k_start = math.floor(nu) + 1
     k_max = integer_at_least(k_max, "k_max", k_start)
     require_at_most(k_max - k_start + 1, SIZE_LIMIT, "class counts")

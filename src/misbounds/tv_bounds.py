@@ -89,9 +89,9 @@ def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
 
 
 # The envelope formulas, written once for a float or an array of separations d
-# already in [0, k-1]; m is snapped_ceil(d).  Each public bound below is its
-# guard, _into_domain, then its body; a report, whose DeltaValue has already
-# checked k and clamped d, calls the bodies alone.
+# already in [0, k-1], with the snapped ceiling that matches d.  Each public
+# bound below is its guard, _into_domain, then its body; a report, whose
+# DeltaValue has checked k and clamped d, and envelope_columns call the bodies.
 
 
 def _lower(k, d):
@@ -103,8 +103,8 @@ def _top(k, d, m):
     return (k + 1 + d - 2 * m) / ((k - m) * (k + 1 - m))
 
 
-def _upper(k: int, d: float) -> float:
-    return 1.0 - _top(k, d, snapped_ceil(d))
+def _upper(k, d, ceil):
+    return 1.0 - _top(k, d, ceil(d))
 
 
 def _upper_simpl(k, d):
@@ -118,7 +118,7 @@ def lower_bound(k: int, delta: float) -> float:
 
 def upper_bound(k: int, delta: float) -> float:
     """Tight upper bound: linear interpolation of 1 - 1/(k - m) between integers m."""
-    return _upper(k, _into_domain(k, delta))
+    return _upper(k, _into_domain(k, delta), snapped_ceil)
 
 
 def upper_bound_simpl(k: int, delta: float) -> float:
@@ -130,15 +130,15 @@ def envelope_columns(k, delta) -> dict:
     """The clamped separations and L, U, U_simpl at each, over an array of separations.
 
     k is one class count or an integer array of them, one per separation.
-    Clamping and the formulas are those of lower_bound, upper_bound and
-    upper_bound_simpl, entry by entry.
+    The separations are clamped as lower_bound, upper_bound and
+    upper_bound_simpl clamp them, then go through those functions' bodies.
     """
     k = require_class_counts(k)
     d = clamp_array(delta, 0.0, k - 1.0, INTEGER_SNAP, OutOfRangeError, "delta")
     return {
         "delta": d,
         "L": _lower(k, d),
-        "U": 1.0 - _top(k, d, snapped_ceil_array(d)),
+        "U": _upper(k, d, snapped_ceil_array),
         "U_simpl": _upper_simpl(k, d),
     }
 

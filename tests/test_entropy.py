@@ -33,11 +33,12 @@ from misbounds import (
 from misbounds.entropy import (
     H_SLACK,
     LOG_FLOAT_MAX,
+    _lower_fm_column,
     _phi_inverse,
+    _upper_fm,
     entropy_columns,
-    lower_fm_array,
-    upper_fm_array,
 )
+from misbounds.tv_bounds import snapped_ceil_array
 from simplex_grids import compositions
 
 # class counts spanning the binary case to a very wide alphabet
@@ -227,7 +228,7 @@ def float_bits(values) -> list:
     return [float(x).hex() for x in values]
 
 
-class TestLowerFMArray:
+class TestLowerFMColumn:
     @given(
         k=st.integers(2, 10**6),
         us=st.lists(st.floats(0.0, 1.0), max_size=30),
@@ -245,7 +246,7 @@ class TestLowerFMArray:
         h += [w * log_k for w in ws]
         edge = log_k - H_SLACK
         h += [0.0, log_k, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
-        got = lower_fm_array(k, np.array(h))
+        got = _lower_fm_column(k, np.array(h))
         assert float_bits(got) == float_bits(lower_fm(k, x) for x in h)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
@@ -254,29 +255,19 @@ class TestLowerFMArray:
         # on about 1% of inputs, and that reaches the root on a few in a
         # thousand; a column this dense sees it if the inverse calls them
         h = np.random.default_rng(k).uniform(0.0, math.log(k), 4000)
-        assert float_bits(lower_fm_array(k, h)) == float_bits(lower_fm(k, x) for x in h.tolist())
+        assert float_bits(_lower_fm_column(k, h)) == float_bits(lower_fm(k, x) for x in h.tolist())
 
     def test_root_below_the_smallest_subnormal_is_zero(self):
         for k in (2, 10**6):
-            assert float_bits(lower_fm_array(k, np.array([5e-324]))) == float_bits([0.0])
+            assert float_bits(_lower_fm_column(k, np.array([5e-324]))) == float_bits([0.0])
 
     def test_empty_column(self):
-        out = lower_fm_array(3, np.array([]))
+        out = _lower_fm_column(3, np.array([]))
         assert out.shape == (0,) and out.dtype == float
 
     def test_keeps_the_shape_of_its_input(self):
         h = np.linspace(0.0, math.log(5), 12)
-        assert float_bits(lower_fm_array(5, h.reshape(3, 4)).reshape(-1)) == float_bits(lower_fm_array(5, h))
-
-    @pytest.mark.parametrize("k", [2, 7])
-    @pytest.mark.parametrize("bad", ["nan", "above", "below"])
-    def test_refuses_what_lower_fm_refuses(self, k, bad):
-        h = {"nan": math.nan, "above": math.log(k) + 2 * H_SLACK, "below": -2 * H_SLACK}[bad]
-        with pytest.raises(EntropyOutOfRangeError) as scalar:
-            lower_fm(k, h)
-        with pytest.raises(EntropyOutOfRangeError) as column:
-            lower_fm_array(k, np.array([0.5, h]))
-        assert str(column.value) == str(scalar.value)
+        assert float_bits(_lower_fm_column(5, h.reshape(3, 4)).reshape(-1)) == float_bits(_lower_fm_column(5, h))
 
 
 class TestEntropyColumns:
@@ -296,6 +287,23 @@ class TestEntropyColumns:
             columns = entropy_columns(ks, np.array([h, 0.5]))
             assert columns["entropy_nats"][0].hex() == math.log(k).hex()
             assert columns["entropy_nats"][1] == 0.5
+
+    @pytest.mark.parametrize("k", [2, 7])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "below", "above"])
+    def test_refuses_what_entropy_value_refuses(self, k, bad):
+        # the one clamp of a sweep's entropies, before both column bounds
+        h = {
+            "nan": math.nan,
+            "inf": math.inf,
+            "-inf": -math.inf,
+            "below": -2 * H_SLACK,
+            "above": math.log(k) + 2 * H_SLACK,
+        }[bad]
+        with pytest.raises(EntropyOutOfRangeError) as scalar:
+            EntropyValue(h, k)
+        with pytest.raises(EntropyOutOfRangeError) as column:
+            entropy_columns(k, np.array([0.5, h]))
+        assert str(column.value) == str(scalar.value)
 
     def test_refuses_what_the_scalar_bounds_refuse(self):
         with pytest.raises(EntropyOutOfRangeError, match="h=nan"):
@@ -382,16 +390,16 @@ class TestUpperFM:
             assert abs(upper_fm(math.log(m) + 1e-9) - node) <= 1e-6
 
     def test_array_form_matches_scalar(self):
-        knots = [math.log(m) + s for m in range(1, 9) for s in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)]
-        h = np.array([1e-300, 0.3, 2.5, 700.0, LOG_FLOAT_MAX] + knots)
-        np.testing.assert_allclose(
-            upper_fm_array(h), [upper_fm(x) for x in h.tolist()], rtol=1e-15, atol=0.0
-        )
-
-    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-8])
-    def test_array_form_refuses_what_scalar_refuses(self, h):
-        with pytest.raises(NegativeEntropyError):
-            upper_fm_array(np.array([0.5, h]))
+        # the body on numpy's primitives, as a sweep runs it; knots below ln 1 = 0 clamp to 0, as in upper_fm
+        knots = [max(math.log(m) + s, 0.0) for m in range(1, 9) for s in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)]
+        h = np.array([0.0, 1e-300, 0.3, 2.5, 700.0, LOG_FLOAT_MAX] + knots)
+        # e (e + 1) overflows to inf near LOG_FLOAT_MAX, as the float product does in upper_fm
+        with np.errstate(over="ignore"):
+            got = _upper_fm(h, np.exp, np.log, np.log1p, snapped_ceil_array)
+        np.testing.assert_allclose(got, [upper_fm(x) for x in h.tolist()], rtol=1e-15, atol=0.0)
+        # and with the primitives a sweep passes: every knot up to ln 8 is below ln 9
+        got = entropy_columns(9, np.array(knots))["U_FM"]
+        np.testing.assert_allclose(got, [upper_fm(x) for x in knots], rtol=1e-15, atol=0.0)
 
     def test_monotone_nondecreasing(self):
         grid = np.linspace(0, math.log(30), 400)

@@ -36,8 +36,9 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.entropy import _column_posteriors, entropy_columns, lower_fm_array
+from misbounds.entropy import _column_posteriors, entropy_columns
 from misbounds.model import clamp, clamp_array, require_at_most, require_class_counts, require_classes
+from misbounds.report import fig3_table
 from misbounds.tv_bounds import envelope_columns
 
 EXAMPLE = [[0.4, 0.1], [0.1, 0.4]]
@@ -152,7 +153,7 @@ K_ENTRIES = {
     "exponential_profiles": lambda k: exponential_profiles(k, [0.3]),
     "envelope_columns": lambda k: envelope_columns(k, [0.0]),
     "entropy_columns": lambda k: entropy_columns(k, [0.0]),
-    "lower_fm_array": lambda k: lower_fm_array(k, [0.0]),
+    "fig3_table": lambda k: fig3_table([k], 0.5),
 }
 
 

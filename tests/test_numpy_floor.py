@@ -24,8 +24,8 @@ FLOOR_CHECKED = {
     "argwhere", "array", "asarray", "ascontiguousarray", "bool_", "broadcast_arrays",
     "ceil", "concatenate", "errstate", "exp", "finfo", "flatnonzero", "full", "inf", "int64",
     "integer", "linspace", "log", "log1p", "log2", "matmul", "maximum", "ndarray", "random",
-    "random.Generator", "random.default_rng", "repeat", "round", "shape", "sort", "stack",
-    "unravel_index", "where", "zeros",
+    "random.Generator", "random.default_rng", "repeat", "round", "shape", "sort", "spacing",
+    "stack", "unravel_index", "where", "zeros",
 }
 
 

@@ -331,6 +331,13 @@ class TestCompareHi:
         with pytest.raises(BadParamError):
             compare_hi_scan(nu, 10)
 
+    def test_nu_from_two_to_the_53_is_refused_by_name(self):
+        # from 2**53 on, k = nu + 1 rounds to nu as a double: nu is refused, not the class counts
+        with pytest.raises(BadParamError, match=r"^nu=9007199254740992\.0 must exceed 1 and lie below 2\*\*53$"):
+            compare_hi_scan(2.0**53, 2**53 + 4)
+        scan = compare_hi_scan(2.0**53 - 1.0, 2**53 + 4)
+        assert [row["k"] for row in scan.rows] == list(range(2**53, 2**53 + 5))
+
 
 def assert_cells_close(got: dict, want: dict):
     """Same keys in order, cells of the same type, floats within 1e-13 relative or 1e-15 absolute."""
@@ -422,10 +429,10 @@ class TestSweepsMatchTheScalarPath:
 
     def test_single_reports_never_call_the_column_inverse(self, monkeypatch):
         def refuse(k, h):
-            raise AssertionError("a single report called lower_fm_array")
+            raise AssertionError("a single report called _lower_fm_column")
 
-        monkeypatch.setattr(entropy, "lower_fm_array", refuse)
-        monkeypatch.setattr(report, "lower_fm_array", refuse)
+        monkeypatch.setattr(entropy, "_lower_fm_column", refuse)
+        monkeypatch.setattr(report, "_lower_fm_column", refuse)
         assert BoundsReport.from_model(EXAMPLE).L_FM > 0.0
         assert BoundsReport.from_profile(exponential_profile(8, 0.3)).L_FM > 0.0
 
@@ -668,6 +675,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_compare_hi_past_int64_names_nu(self, capsys):
+        # class counts past int64 come out of np.arange as floats; nu is refused before any is made
+        assert main(["compare-hi", "--nu", "1e19", "--k", "10000000000000000001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nu=1e+19 must exceed 1 and lie below 2**53\n"
 
     @pytest.mark.parametrize(
         "argv",
