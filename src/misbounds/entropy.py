@@ -7,10 +7,11 @@ phi(p) = p ln(k-1) + h2(p) by a safeguarded Newton iteration that is
 accurate relative to p, so it stays a lower bound for tiny p*, and the upper
 bound is piecewise linear in H with knots at ln m.  A sweep clamps its
 entropy column once, in entropy_columns, and runs the scalar bodies on it:
-_upper_fm with numpy's primitives, and _lower_fm_column, _lower_fm's
-iteration over every entry at once, bit for bit.  Renyi conditional entropy
-(base 2) exists only to evaluate a published two-class fixture on which a
-claimed entropy upper bound goes negative, refuting it.
+_upper_fm with numpy's primitives, and _lower_fm_column, which runs
+_lower_fm's one Newton loop, _newton, over every entry at once, bit for bit.
+Renyi conditional entropy (base 2) exists only to evaluate a published
+two-class fixture on which a claimed entropy upper bound goes negative,
+refuting it.
 """
 
 from __future__ import annotations
@@ -144,32 +145,48 @@ def _seed_small(h, log_km1: float, log):
     return h / (first + log(first))
 
 
-def _newton_step(p, h, log_km1: float, rounding, log, log1p) -> tuple:
-    """(residual, step, done) of one Newton step on phi(p) = h, for floats or arrays alike.
+def _newton(p, h, top, log_km1, rounding, log, log1p, where, every) -> tuple:
+    """Bracketed Newton iteration on phi(p) = h from the seed p, on a float or an array alike.
 
-    residual = phi(p) - h and phi'(p) = ln((k-1)(1-p)/p).  The iteration is
-    done when the step is within a few ulps of p, or when the residual is
-    down to `rounding`, four ulps of h, the rounding level of phi itself;
-    near the top, where phi is flat, only the second test can end it.
+    phi is concave and increasing, with phi'(p) = ln((k-1)(1-p)/p): a step
+    from left of the root stays left of it, one from the right can overshoot,
+    and a step that leaves the bracket [lo, hi], at first [0, top], takes its
+    midpoint instead.  An entry is done when its step is within a few ulps of
+    p, or its residual phi(p) - h within `rounding`, four ulps of h, the
+    rounding level of phi itself; near the top, where phi is flat, only the
+    second test can end it.  A done entry keeps its p, and the loop stops when
+    `every` entry is done, or after NEWTON_MAX_ITER steps.  log, log1p and
+    where take p's kind; top and log_km1 broadcast against it.  Returns
+    (p, iterations, residual) with residual = phi(p) - h.
     """
-    log_p = log(p)
-    log_q = log1p(-p)
-    residual = p * (log_km1 - log_p) - (1.0 - p) * log_q - h
-    step = residual / (log_km1 + log_q - log_p)
-    return residual, step, (abs(step) <= _FOUR_ULPS * p) | (abs(residual) <= rounding)
+    lo, hi = 0.0, top
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
+        log_p = log(p)
+        log_q = log1p(-p)
+        residual = p * (log_km1 - log_p) - (1.0 - p) * log_q - h
+        step = residual / (log_km1 + log_q - log_p)
+        done = (abs(step) <= _FOUR_ULPS * p) | (abs(residual) <= rounding)
+        if every(done):
+            break
+        # a done entry's bracket closes on its p, and the midpoint of [p, p] is p
+        below = residual < 0.0
+        lo = where(below | done, p, lo)
+        hi = where(below > done, hi, p)  # below and not done
+        stepped = p - step
+        p = where((lo < stepped) & (stepped < hi), stepped, 0.5 * (lo + hi))
+    return p, iterations, residual
+
+
+def _where(condition, a, b):
+    return a if condition else b
 
 
 def _phi_inverse(k: int, h: float) -> tuple:
-    """Root of phi(k, p) = h for 0 < h < ln k, by bracketed Newton iteration.
+    """Root of phi(k, p) = h for 0 < h < ln k, as _newton's (p, iterations, residual) on one float.
 
-    phi is concave and increasing, with phi'(p) = ln((k-1)(1-p)/p).  A
-    Newton step from left of the root stays left of it; one from the right
-    can overshoot, and a step that leaves the bracket [lo, hi] is replaced
-    by the bracket midpoint.  The seed is the small-p asymptote or, near
-    the top, the quadratic.  The iteration stops as _newton_step says.
-    Returns (p, iterations, residual) with residual = phi(p) - h.
+    The seed is the small-p asymptote or, near the top, the quadratic.  The
+    loop gets the math module's logarithms, a one-flag where and bool.
     """
-    top = 1.0 - 1.0 / k
     log_km1 = math.log(k - 1)
     gap = math.log(k) - h
     # the quadratic dominates phi's expansion about the top while p is within
@@ -181,20 +198,7 @@ def _phi_inverse(k: int, h: float) -> tuple:
         if p == 0.0:
             # the root lies below the smallest subnormal double
             return 0.0, 0, -h
-    lo, hi = 0.0, top
-    rounding = 4.0 * math.ulp(h)
-    for iterations in range(1, NEWTON_MAX_ITER + 1):
-        residual, step, done = _newton_step(p, h, log_km1, rounding, math.log, math.log1p)
-        if done:
-            break
-        if residual < 0.0:
-            lo = p
-        else:
-            hi = p
-        p -= step
-        if not lo < p < hi:
-            p = 0.5 * (lo + hi)
-    return p, iterations, residual
+    return _newton(p, h, 1.0 - 1.0 / k, log_km1, 4.0 * math.ulp(h), math.log, math.log1p, _where, bool)
 
 
 def lower_fm(k: int, h: float) -> float:
@@ -222,10 +226,11 @@ def _lower_fm(k: int, h: float) -> float:
 def _lower_fm_column(k: int, h: np.ndarray) -> np.ndarray:
     """_lower_fm of every entry of an entropy array already in [0, ln k], bit for bit, in one Newton pass.
 
-    Entries are sorted out as _lower_fm does it; every interior entry gets
-    _phi_inverse's seed, its own bracket and its own stop test, and is frozen
-    at the iteration where the scalar loop would stop.  The logarithms are
-    the math module's, mapped over the entries still live.
+    Entries are sorted out as _lower_fm does it, and every interior entry
+    gets _phi_inverse's seed.  They then run _phi_inverse's loop, _newton,
+    all at once: each keeps its own bracket and stop test, and stays at the
+    p where the scalar loop would stop.  The loop gets the math module's
+    logarithms mapped over the entries, np.where and np.all.
     """
     log_k = math.log(k)
     top = 1.0 - 1.0 / k
@@ -241,24 +246,9 @@ def _lower_fm_column(k: int, h: np.ndarray) -> np.ndarray:
     p[~near_top] = _seed_small(h[~near_top], log_km1, log)
     # a seed of 0 (only the small-p one underflows) is the answer, as in _phi_inverse
     live = p > 0.0
-    p, h, index = p[live], h[live], index[live]
-    lo, hi = np.zeros(p.size), np.full(p.size, top)
-    rounding = 4.0 * np.spacing(h)  # math.ulp, as h > 0 here
-    for _ in range(NEWTON_MAX_ITER):
-        residual, step, done = _newton_step(p, h, log_km1, rounding, log, log1p)
-        out[index[done]] = p[done]
-        live = ~done
-        p, h, index, lo, hi, rounding, residual, step = (
-            a[live] for a in (p, h, index, lo, hi, rounding, residual, step)
-        )
-        if not p.size:
-            break
-        below = residual < 0.0
-        lo = np.where(below, p, lo)
-        hi = np.where(below, hi, p)
-        p = p - step
-        p = np.where((lo < p) & (p < hi), p, 0.5 * (lo + hi))
-    out[index] = p
+    p, h = p[live], h[live]
+    # np.spacing is math.ulp here, as h > 0
+    out[index[live]] = _newton(p, h, top, log_km1, 4.0 * np.spacing(h), log, log1p, np.where, np.all)[0]
     return out.reshape(shape)
 
 

@@ -393,7 +393,8 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
     U(delta) stays at or above 1 - 1/floor(nu) while U_FM(H) decays to 0 as
     k grows, so a crossover must appear; the scan reports the first k where
     it does.  Entropy and separation come from closed forms, evaluated over
-    the whole k range as arrays; at most SIZE_LIMIT class counts are scanned.
+    the whole k range as arrays; at most SIZE_LIMIT class counts, none above
+    2**53, are scanned.
     """
     if not 1.0 < nu < 2.0**53:
         # from 2**53 on, a class count above nu rounds to nu as a double
@@ -401,6 +402,9 @@ def compare_hi_scan(nu: float, k_max: int) -> CompareHiScan:
     k_start = math.floor(nu) + 1
     k_max = integer_at_least(k_max, "k_max", k_start)
     require_at_most(k_max - k_start + 1, SIZE_LIMIT, "class counts")
+    if k_max > 2**53:
+        # delta = k - nu is taken in doubles, and above 2**53 not every k is one
+        raise BadParamError(f"k_max={k_max!r} must be at most 2**53")
     ks = np.arange(k_start, k_max + 1)
     stats = comp_hi_stats(ks, nu)
     columns = {

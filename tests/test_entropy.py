@@ -30,6 +30,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
+from misbounds import entropy
 from misbounds.entropy import (
     H_SLACK,
     LOG_FLOAT_MAX,
@@ -255,6 +256,22 @@ class TestLowerFMColumn:
         # on about 1% of inputs, and that reaches the root on a few in a
         # thousand; a column this dense sees it if the inverse calls them
         h = np.random.default_rng(k).uniform(0.0, math.log(k), 4000)
+        assert float_bits(_lower_fm_column(k, h)) == float_bits(lower_fm(k, x) for x in h.tolist())
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 8, 10**6])
+    def test_equals_the_scalar_inverse_when_the_iteration_cap_binds(self, monkeypatch, k, cap):
+        # the inverse converges within 10 steps, so only a lowered cap stops entries
+        # mid-way; those done before it must stay where the scalar loop stops
+        monkeypatch.setattr(entropy, "NEWTON_MAX_ITER", cap)
+        log_k = math.log(k)
+        h = np.concatenate(
+            [
+                np.minimum(np.geomspace(1e-320, log_k, 400), log_k),
+                np.maximum(log_k - 10.0 ** -np.linspace(17.0, 0.0, 100), 0.0),
+                [0.0, log_k, 5e-324],
+            ]
+        )
         assert float_bits(_lower_fm_column(k, h)) == float_bits(lower_fm(k, x) for x in h.tolist())
 
     def test_root_below_the_smallest_subnormal_is_zero(self):

@@ -335,8 +335,13 @@ class TestCompareHi:
         # from 2**53 on, k = nu + 1 rounds to nu as a double: nu is refused, not the class counts
         with pytest.raises(BadParamError, match=r"^nu=9007199254740992\.0 must exceed 1 and lie below 2\*\*53$"):
             compare_hi_scan(2.0**53, 2**53 + 4)
-        scan = compare_hi_scan(2.0**53 - 1.0, 2**53 + 4)
-        assert [row["k"] for row in scan.rows] == list(range(2**53, 2**53 + 5))
+        scan = compare_hi_scan(2.0**53 - 1.0, 2**53)
+        assert [(row["k"], row["delta"]) for row in scan.rows] == [(2**53, 1.0)]
+
+    def test_class_counts_above_two_to_the_53_are_refused_by_name(self):
+        # above 2**53 not every class count is a double, so delta = k - nu would be rounded
+        with pytest.raises(BadParamError, match=r"^k_max=9007199254740996 must be at most 2\*\*53$"):
+            compare_hi_scan(2.0**53 - 1.0, 2**53 + 4)
 
 
 def assert_cells_close(got: dict, want: dict):
@@ -421,9 +426,11 @@ class TestSweepsMatchTheScalarPath:
 
     def test_sweeps_never_call_the_scalar_inverse(self, monkeypatch):
         def refuse(k, h):
-            raise AssertionError("a sweep called the scalar lower_fm")
+            raise AssertionError("a sweep called the scalar inverse")
 
+        # a sweep that maps the scalar entry point over its rows is about twice as slow
         monkeypatch.setattr(report, "_lower_fm", refuse)
+        monkeypatch.setattr(entropy, "_phi_inverse", refuse)
         assert len(fig2_table()["p"]) == 606
         assert len(fig3_table()["q"]) == 600
 
@@ -682,6 +689,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: nu=1e+19 must exceed 1 and lie below 2**53\n"
+
+    def test_compare_hi_above_two_to_the_53_names_k_max(self, capsys):
+        # k = 2**53 + 1 and 2**53 + 3 are not doubles, and their delta came out 1.0 and 5.0, not 2 and 4
+        assert main(["compare-hi", "--nu", "9007199254740991", "--k", "9007199254740996"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k_max=9007199254740996 must be at most 2**53\n"
 
     @pytest.mark.parametrize(
         "argv",
