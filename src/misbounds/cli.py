@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import InvariantViolationError, MisboundsError
@@ -170,7 +171,10 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        text, code = COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # one line per warning, in the style of an error, with no source listing
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            text, code = COMMANDS[args.command](args)
         _emit(text, args.out)
     except InvariantViolationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -7,8 +7,9 @@ phi(p) = p ln(k-1) + h2(p) by a safeguarded Newton iteration that is
 accurate relative to p, so it stays a lower bound for tiny p*, and the upper
 bound is piecewise linear in H with knots at ln m.  A sweep clamps its
 entropy column once, in entropy_columns, and runs the scalar bodies on it:
-_upper_fm with numpy's primitives, and _lower_fm_column, which runs
-_lower_fm's one Newton loop, _newton, over every entry at once, bit for bit.
+_upper_fm with numpy's primitives, and _lower_fm_body, which makes every
+choice before the one Newton loop, _newton, for a float or a column alike,
+with the math module's functions mapped over the column, bit for bit.
 Renyi conditional entropy (base 2) exists only to evaluate a published
 two-class fixture on which a claimed entropy upper bound goes negative,
 refuting it.
@@ -51,7 +52,7 @@ def _math_map(f):
     while +, -, * and / round alike in both, so a formula fed these maps
     gives each entry exactly the float it gives that entry alone.
     """
-    return lambda a: np.array(list(map(f, a.tolist())))
+    return lambda a: np.fromiter(map(f, a.tolist()), float, a.size)
 
 
 @dataclass(frozen=True)
@@ -181,75 +182,60 @@ def _where(condition, a, b):
     return a if condition else b
 
 
-def _phi_inverse(k: int, h: float) -> tuple:
-    """Root of phi(k, p) = h for 0 < h < ln k, as _newton's (p, iterations, residual) on one float.
+def _lower_fm_body(k: int, h, log, log1p, sqrt, where, every, ulp):
+    """lower_fm at an h already in [0, ln k], on a float or an array alike.
 
-    The seed is the small-p asymptote or, near the top, the quadratic.  The
-    loop gets the math module's logarithms, a one-flag where and bool.
+    Every entry runs the one loop, _newton; log, log1p, sqrt, where, every
+    and ulp take h's kind.  An entry that needs no root runs it on a
+    stand-in entropy ln k / 2, so nothing is split off, and its result is
+    then replaced.  Both seeds are taken everywhere, and `where` picks one.
     """
-    log_km1 = math.log(k - 1)
-    gap = math.log(k) - h
+    log_k, log_km1, top = math.log(k), math.log(k - 1), 1.0 - 1.0 / k
+    stand_in = 0.5 * log_k
+    # phi is quadratically flat at its right endpoint, so inverting there
+    # amplifies noise in h to sqrt scale; h this close to ln k means the
+    # endpoint itself is the best-conditioned answer
+    at_top = log_k - h <= H_SLACK
+    zero = h == 0.0
+    h = where(at_top | zero, stand_in, h)
     # the quadratic dominates phi's expansion about the top while p is within
-    # about 1/k of it, that is for gap below about 1/(2k)
-    if gap < 0.5 / k:
-        p = _seed_near_top(k, gap, math.sqrt)
-    else:
-        p = _seed_small(h, log_km1, math.log)
-        if p == 0.0:
-            # the root lies below the smallest subnormal double
-            return 0.0, 0, -h
-    return _newton(p, h, 1.0 - 1.0 / k, log_km1, 4.0 * math.ulp(h), math.log, math.log1p, _where, bool)
+    # about 1/k of it, that is for a gap below about 1/(2k)
+    gap = log_k - h
+    p = where(gap < 0.5 / k, _seed_near_top(k, gap, sqrt), _seed_small(h, log_km1, log))
+    # only the small-p seed underflows, and then the root lies below the
+    # smallest subnormal double; top / 2 is a few steps from the stand-in's root
+    underflow = p == 0.0
+    zero = zero | underflow
+    h = where(underflow, stand_in, h)
+    p = where(underflow, 0.5 * top, p)
+    p = _newton(p, h, top, log_km1, 4.0 * ulp(h), log, log1p, where, every)[0]
+    return where(at_top, top, where(zero, 0.0, p))
 
 
 def lower_fm(k: int, h: float) -> float:
     """Feder-Merhav lower bound: the unique p in [0, 1-1/k] with phi(p) = h.
 
-    Safeguarded Newton inverse (see _phi_inverse), a few ulps from the root
-    relative to p wherever phi is well conditioned, down to p ~ 1e-300;
+    Safeguarded Newton inverse (see _lower_fm_body), a few ulps from the
+    root relative to p wherever phi is well conditioned, down to p ~ 1e-300;
     nearer the top it is as exact as phi's rounding allows.
     """
     return _lower_fm(k, _into_domain(k, h))
 
 
 def _lower_fm(k: int, h: float) -> float:
-    """lower_fm at an h already in [0, ln k]."""
-    if h == 0.0:
-        return 0.0
-    # phi is quadratically flat at its right endpoint, so inverting there
-    # amplifies noise in h to sqrt scale; h this close to ln k means the
-    # endpoint itself is the best-conditioned answer.
-    if math.log(k) - h <= H_SLACK:
-        return 1.0 - 1.0 / k
-    return _phi_inverse(k, h)[0]
+    """lower_fm at an h already in [0, ln k]: the one body on a float, with the math module's functions."""
+    return _lower_fm_body(k, h, math.log, math.log1p, math.sqrt, _where, bool, math.ulp)
 
 
 def _lower_fm_column(k: int, h: np.ndarray) -> np.ndarray:
     """_lower_fm of every entry of an entropy array already in [0, ln k], bit for bit, in one Newton pass.
 
-    Entries are sorted out as _lower_fm does it, and every interior entry
-    gets _phi_inverse's seed.  They then run _phi_inverse's loop, _newton,
-    all at once: each keeps its own bracket and stop test, and stays at the
-    p where the scalar loop would stop.  The loop gets the math module's
-    logarithms mapped over the entries, np.where and np.all.
+    The one body runs on the flattened entries with the math module's
+    functions mapped over them, np.where, np.all and np.spacing, which is
+    math.ulp at every h the loop sees, as they are all positive.
     """
-    log_k = math.log(k)
-    top = 1.0 - 1.0 / k
-    shape, flat = h.shape, h.reshape(-1)
-    out = np.where(log_k - flat <= H_SLACK, top, 0.0)
-    index = np.arange(flat.size)[(flat > 0.0) & (log_k - flat > H_SLACK)]
-    h = flat[index]
-    log_km1 = math.log(k - 1)
-    log, log1p = _math_map(math.log), _math_map(math.log1p)
-    near_top = log_k - h < 0.5 / k
-    p = np.zeros(h.size)
-    p[near_top] = _seed_near_top(k, log_k - h[near_top], _math_map(math.sqrt))
-    p[~near_top] = _seed_small(h[~near_top], log_km1, log)
-    # a seed of 0 (only the small-p one underflows) is the answer, as in _phi_inverse
-    live = p > 0.0
-    p, h = p[live], h[live]
-    # np.spacing is math.ulp here, as h > 0
-    out[index[live]] = _newton(p, h, top, log_km1, 4.0 * np.spacing(h), log, log1p, np.where, np.all)[0]
-    return out.reshape(shape)
+    sqrt, log, log1p = (_math_map(f) for f in (math.sqrt, math.log, math.log1p))
+    return _lower_fm_body(k, h.reshape(-1), log, log1p, sqrt, np.where, np.all, np.spacing).reshape(h.shape)
 
 
 def upper_fm(h: float) -> float:

@@ -104,12 +104,16 @@ def integer_at_least(value, name: str, least: int) -> int:
 
 
 def require_classes(k) -> int:
-    """k as a Python int; refuses a non-integer, and a count below two, the least with a decision to make."""
+    """k as a Python int; refuses a non-integer, a count below two, and a count above 2**53.
+
+    Two is the least count with a decision to make; above 2**53 not every count is an exact double.
+    """
     number = _integer_or_none(k)
     if number is None:
         raise BadParamError(f"k={k!r} must be an integer >= 2")
     if number < 2:
         raise TooFewClassesError(f"need at least 2 classes, got k={k}")
+    require_at_most(number, 2**53, "classes")
     return number
 
 
@@ -123,8 +127,10 @@ def require_class_counts(k):
     if not (isinstance(k, np.ndarray) and k.dtype.kind in "iu"):
         return require_classes(k)
     counts = k.astype(np.int64)
-    if counts.size and counts.min() < 2:
-        raise TooFewClassesError(f"need at least 2 classes, got k={counts.min()}")
+    if counts.size:
+        if counts.min() < 2:
+            raise TooFewClassesError(f"need at least 2 classes, got k={counts.min()}")
+        require_at_most(counts.max(), 2**53, "classes")
     return counts
 
 

@@ -146,6 +146,7 @@ def envelope_columns(k, delta) -> dict:
 def extremal_low_profile(k: int, d: float) -> PosteriorProfile:
     """Profile attaining the lower bound: one lifted entry over a flat tail."""
     d = _into_domain(k, d)
+    require_at_most(k, SIZE_LIMIT, "classes")
     a = np.full(k, 1.0 / k - d / (k * (k - 1.0)))
     a[0] = (1.0 + d) / k
     return PosteriorProfile(a=a)
@@ -154,6 +155,7 @@ def extremal_low_profile(k: int, d: float) -> PosteriorProfile:
 def extremal_high_profile(k: int, d: float) -> PosteriorProfile:
     """Profile attaining the upper bound: a flat top block, one remainder, zeros."""
     d = _into_domain(k, d)
+    require_at_most(k, SIZE_LIMIT, "classes")
     m = snapped_ceil(d)
     top = _top(k, d, m)
     a = np.zeros(k)

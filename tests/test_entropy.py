@@ -35,7 +35,6 @@ from misbounds.entropy import (
     H_SLACK,
     LOG_FLOAT_MAX,
     _lower_fm_column,
-    _phi_inverse,
     _upper_fm,
     entropy_columns,
 )
@@ -213,15 +212,25 @@ class TestLowerFM:
 
 
 class TestPhiInverse:
-    def test_newton_iteration_count_and_residual(self):
+    def test_newton_iteration_count_and_residual(self, monkeypatch):
         # bisection to relative accuracy would take ~50 steps, ~1000 near 1e-300
+        loops = []
+        newton = entropy._newton
+
+        def spy(*args):
+            loops.append(newton(*args))
+            return loops[-1]
+
+        monkeypatch.setattr(entropy, "_newton", spy)
         for k in K_GRID:
             top = 1.0 - 1.0 / k
             for p in np.geomspace(1e-300, top * (1.0 - 1e-6), 120):
                 h = phi(k, float(p))
-                _, iterations, residual = _phi_inverse(k, h)
+                lower_fm(k, h)
+                _, iterations, residual = loops[-1]
                 assert iterations <= 10
                 assert abs(residual) <= 1e-14 * h
+        assert len(loops) == len(K_GRID) * 120
 
 
 def float_bits(values) -> list:
@@ -277,6 +286,11 @@ class TestLowerFMColumn:
     def test_root_below_the_smallest_subnormal_is_zero(self):
         for k in (2, 10**6):
             assert float_bits(_lower_fm_column(k, np.array([5e-324]))) == float_bits([0.0])
+            # columns of entries answered without a root: each runs the loop on a
+            # stand-in entropy alone, and its result is replaced
+            top = 1.0 - 1.0 / k
+            for h, want in (([0.0], [0.0]), ([math.log(k)], [top]), ([0.0, math.log(k), 5e-324], [0.0, top, 0.0])):
+                assert float_bits(_lower_fm_column(k, np.array(h))) == float_bits(want)
 
     def test_empty_column(self):
         out = _lower_fm_column(3, np.array([]))

@@ -27,6 +27,8 @@ from misbounds import (
     delta_of_profile,
     entropy_of_profile,
     exponential_profile,
+    extremal_high_profile,
+    extremal_low_profile,
     from_spec,
     pure_model,
     three_class_profile,
@@ -334,11 +336,19 @@ class TestCompHiProfile:
 
 
 @pytest.mark.parametrize(
-    "build", [lambda k: comp_hi_profile(k, 2.0), lambda k: comp_lo_profile(k, k - 1)]
+    "build",
+    [
+        lambda k: comp_hi_profile(k, 2.0),
+        lambda k: comp_lo_profile(k, k - 1),
+        lambda k: extremal_low_profile(k, 1.0),
+        lambda k: extremal_high_profile(k, 1.0),
+    ],
 )
 def test_flat_tail_families_refuse_huge_k_before_allocating(build):
-    with pytest.raises(TooLargeError):
-        build(10**20)
+    # 2**53 passes the class-count guard, so only the size guard refuses it
+    for k in (2**53, 10**20):
+        with pytest.raises(TooLargeError):
+            build(k)
 
 
 # An unknown key, a missing key, two floats and two booleans for integers, a

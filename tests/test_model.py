@@ -172,6 +172,30 @@ def test_every_k_entry_refuses_a_non_integer_class_count(entry, k):
         K_ENTRIES[entry](k)
 
 
+# The entries that take any exact class count, even one no grid or profile could hold.
+UNSIZED_K_ENTRIES = (
+    "DeltaValue",
+    "EntropyValue",
+    "entropy_columns",
+    "envelope_columns",
+    "lower_bound",
+    "lower_fm",
+    "phi",
+    "upper_bound",
+    "upper_bound_simpl",
+)
+
+
+@pytest.mark.parametrize("entry", UNSIZED_K_ENTRIES)
+def test_class_counts_past_exact_doubles_are_refused(entry):
+    # above 2**53 not every count is a double: at 2**1024 float(k) overflows,
+    # and at 2**60 the bounds came out with wrong digits
+    for k in (2**53 + 1, 2**1024):
+        with pytest.raises(TooLargeError, match=f"^too many classes: {k}, over the limit of {2**53}$"):
+            K_ENTRIES[entry](k)
+    K_ENTRIES[entry](2**53)
+
+
 def test_class_count_comes_back_a_python_int():
     for k in (3, np.int64(3), np.uint8(3)):
         assert type(require_classes(k)) is int and require_classes(k) == 3
@@ -193,6 +217,9 @@ def test_class_count_column_takes_integer_arrays_as_int64():
     assert type(require_class_counts(np.int64(3))) is int
     with pytest.raises(TooFewClassesError, match="^need at least 2 classes, got k=1$"):
         require_class_counts(np.array([3, 1, 2]))
+    assert require_class_counts(np.array([3, 2**53], dtype=np.uint64)).tolist() == [3, 2**53]
+    with pytest.raises(TooLargeError, match=f"^too many classes: {2**53 + 1}, over the limit of {2**53}$"):
+        require_class_counts(np.array([3, 2**53 + 1, 2]))
     # the scalar guard refuses an integer array: its callers need one count
     with pytest.raises(BadParamError):
         require_classes(np.array([3, 4]))

@@ -22,7 +22,7 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "misbounds"
 FLOOR_CHECKED = {
     "abs", "add", "add.accumulate", "all", "append", "arange", "argmax", "argmin",
     "argwhere", "array", "asarray", "ascontiguousarray", "bool_", "broadcast_arrays",
-    "ceil", "concatenate", "errstate", "exp", "finfo", "flatnonzero", "full", "inf", "int64",
+    "ceil", "concatenate", "errstate", "exp", "finfo", "flatnonzero", "fromiter", "full", "inf", "int64",
     "integer", "linspace", "log", "log1p", "log2", "matmul", "maximum", "ndarray", "random",
     "random.Generator", "random.default_rng", "repeat", "round", "shape", "sort", "spacing",
     "stack", "unravel_index", "where", "zeros",

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import misbounds
 from misbounds import (
     BadParamError,
     BoundsReport,
+    DomainWarning,
     InvariantViolationError,
     TooLargeError,
     binomial_profile,
@@ -28,6 +30,7 @@ from misbounds import (
     fig1_rows,
     fig2_rows,
     fig3_rows,
+    from_spec,
     lower_bound,
     run_verify,
     three_class_profile,
@@ -430,7 +433,7 @@ class TestSweepsMatchTheScalarPath:
 
         # a sweep that maps the scalar entry point over its rows is about twice as slow
         monkeypatch.setattr(report, "_lower_fm", refuse)
-        monkeypatch.setattr(entropy, "_phi_inverse", refuse)
+        monkeypatch.setattr(entropy, "_lower_fm", refuse)
         assert len(fig2_table()["p"]) == 606
         assert len(fig3_table()["q"]) == 600
 
@@ -636,6 +639,19 @@ class TestCli:
             doc = json.loads(capsys.readouterr().out)
             assert doc["U_FM"] > 0.0
             assert doc["U_FM"] >= doc["p_star"]
+
+    def test_report_domain_warning_is_one_line_on_stderr(self, capsys):
+        spec = {"family": "comp_lo", "k": 10, "ell": 3}
+        assert main(["report", "--family", json.dumps(spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: ell=3 is outside the guaranteed set for k=10; "
+            "the profile is valid but the lower-bound advantage is unproven\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainWarning)
+            rep = BoundsReport.from_profile(from_spec(spec))
+        assert captured.out == json.dumps(rep.as_dict(), indent=2) + "\n"
 
     def test_report_large_profile_stays_linear_in_memory(self, tmp_path):
         # a k x k temporary at k = 20000 would take 3.2 GB
