@@ -30,7 +30,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .model import JointModel, PosteriorProfile, clamp, clamp_array, require_class_counts, require_classes, validate_joint
-from .tv_bounds import INTEGER_SNAP, snapped_ceil, snapped_ceil_array
+from .tv_bounds import INTEGER_SNAP
 
 # Domain-edge slack for entropy arguments; beyond it the input is an error,
 # within it the value is clamped onto the closed domain.
@@ -242,17 +242,18 @@ def upper_fm(h: float) -> float:
     """Feder-Merhav upper bound, piecewise linear in H with knots at ln m.
 
     On [ln m, ln(m+1)] the bound climbs from 1 - 1/m to 1 - 1/(m+1).  The
-    branch index e = ceil(exp(H)) - 1 is snapped, because exp(H) lands next
-    to an integer whenever H is near a knot ln m.  Below about 1e-9 the snap
-    sends exp(H) to 1 and e to 0, so e is held at 1: the first branch,
+    branch index is e = ceil(exp(H)) - 1, a plain ceiling: the bound is
+    continuous at each knot ln m, so when exp(H) rounds to just past m the
+    branch taken there gives the same value as the one before it.  At H = 0
+    exp(H) is 1 and e is 0, so e is held at 1: the first branch,
     h / (2 ln 2), is the bound on all of [0, ln 2] and is 0 at H = 0.
 
-    Accepts h down to -INTEGER_SNAP so that probing continuity around the
-    first knot (ln 1 = 0) stays legal, and up to LOG_FLOAT_MAX, where
-    exp(H) still fits in a double.
+    Accepts h down to -INTEGER_SNAP, clamped onto 0, so that probing the
+    first knot (ln 1 = 0) from below stays legal, and up to LOG_FLOAT_MAX,
+    where exp(H) still fits in a double.
     """
     h = clamp(h, 0.0, LOG_FLOAT_MAX, INTEGER_SNAP, NegativeEntropyError, "h")
-    return _upper_fm(h, math.exp, math.log, math.log1p, snapped_ceil)
+    return _upper_fm(h, math.exp, math.log, math.log1p, math.ceil)
 
 
 def _upper_fm(h, exp, log, log1p, ceil):
@@ -280,7 +281,7 @@ def entropy_columns(k, h) -> dict:
     else:
         log_k = math.log(k)
     h = clamp_array(h, 0.0, log_k, H_SLACK, EntropyOutOfRangeError, "h")
-    return {"entropy_nats": h, "U_FM": _upper_fm(h, np.exp, np.log, np.log1p, snapped_ceil_array)}
+    return {"entropy_nats": h, "U_FM": _upper_fm(h, np.exp, np.log, np.log1p, np.ceil)}
 
 
 def renyi_conditional_entropy(model: JointModel, beta: float) -> RenyiValue:

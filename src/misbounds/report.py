@@ -60,7 +60,6 @@ from .tv_bounds import (
     lower_bound,
     separations,
     simplex_grid_oracle,
-    snapped_ceil,
     upper_bound,
     extremal_high_profile,
     extremal_low_profile,
@@ -134,10 +133,10 @@ class BoundsReport:
             entropy_nats=h,
             p_star=p_star,
             L=_lower(k, d),
-            U=_upper(k, d, snapped_ceil),
+            U=_upper(k, d, math.ceil),
             U_simpl=_upper_simpl(k, d),
             L_FM=_lower_fm(k, h),
-            U_FM=_upper_fm(h, math.exp, math.log, math.log1p, snapped_ceil),
+            U_FM=_upper_fm(h, math.exp, math.log, math.log1p, math.ceil),
         )
 
     @classmethod

@@ -25,10 +25,11 @@ import numpy as np
 from .errors import OutOfRangeError
 from .model import SIZE_LIMIT, JointModel, PosteriorProfile, clamp, clamp_array, integer_at_least, require_at_most, require_class_counts, require_classes
 
-# Ceil is discontinuous, so a value that lands on an integer up to
-# representation error (a separation of 2.0000000000000004, or exp(H) at an
-# entropy knot ln m) must be snapped before rounding up, or the whole
-# interpolation segment shifts.
+# Clamp slack: a separation up to this far outside [0, k-1], or an entropy
+# this far below 0 in upper_fm, is float overshoot and is clamped onto the
+# end; beyond it the value is refused.  No ceiling uses it: U and U_FM are
+# continuous at their knots, so a plain ceiling that rounding carries just
+# past a knot picks a piece whose value there is the same.
 INTEGER_SNAP = 1e-9
 
 
@@ -47,20 +48,6 @@ def _into_domain(k: int, delta: float) -> float:
     """Check k, then clamp delta into [0, k-1], allowing INTEGER_SNAP of float overshoot."""
     require_classes(k)
     return clamp(delta, 0.0, float(k - 1), INTEGER_SNAP, OutOfRangeError, "delta")
-
-
-def snapped_ceil(x: float) -> int:
-    """ceil(x), except that x within INTEGER_SNAP of an integer snaps to it."""
-    nearest = round(x)
-    if abs(x - nearest) <= INTEGER_SNAP:
-        return int(nearest)
-    return math.ceil(x)
-
-
-def snapped_ceil_array(x: np.ndarray) -> np.ndarray:
-    """snapped_ceil of every entry, as integral floats, which hold any magnitude."""
-    nearest = np.round(x)
-    return np.where(np.abs(x - nearest) <= INTEGER_SNAP, nearest, np.ceil(x))
 
 
 def separations(w: np.ndarray) -> np.ndarray:
@@ -89,9 +76,10 @@ def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
 
 
 # The envelope formulas, written once for a float or an array of separations d
-# already in [0, k-1], with the snapped ceiling that matches d.  Each public
-# bound below is its guard, _into_domain, then its body; a report, whose
-# DeltaValue has checked k and clamped d, and envelope_columns call the bodies.
+# already in [0, k-1], with the ceiling that matches d: math.ceil for a float,
+# np.ceil for an array.  Each public bound below is its guard, _into_domain,
+# then its body; a report, whose DeltaValue has checked k and clamped d, and
+# envelope_columns call the bodies.
 
 
 def _lower(k, d):
@@ -118,7 +106,7 @@ def lower_bound(k: int, delta: float) -> float:
 
 def upper_bound(k: int, delta: float) -> float:
     """Tight upper bound: linear interpolation of 1 - 1/(k - m) between integers m."""
-    return _upper(k, _into_domain(k, delta), snapped_ceil)
+    return _upper(k, _into_domain(k, delta), math.ceil)
 
 
 def upper_bound_simpl(k: int, delta: float) -> float:
@@ -138,7 +126,7 @@ def envelope_columns(k, delta) -> dict:
     return {
         "delta": d,
         "L": _lower(k, d),
-        "U": _upper(k, d, snapped_ceil_array),
+        "U": _upper(k, d, np.ceil),
         "U_simpl": _upper_simpl(k, d),
     }
 
@@ -156,7 +144,7 @@ def extremal_high_profile(k: int, d: float) -> PosteriorProfile:
     """Profile attaining the upper bound: a flat top block, one remainder, zeros."""
     d = _into_domain(k, d)
     require_at_most(k, SIZE_LIMIT, "classes")
-    m = snapped_ceil(d)
+    m = math.ceil(d)
     top = _top(k, d, m)
     a = np.zeros(k)
     a[: k - m] = top

@@ -38,7 +38,6 @@ from misbounds.entropy import (
     _upper_fm,
     entropy_columns,
 )
-from misbounds.tv_bounds import snapped_ceil_array
 from simplex_grids import compositions
 
 # class counts spanning the binary case to a very wide alphabet
@@ -401,7 +400,7 @@ class TestUpperFM:
             assert upper_fm(h) == pytest.approx(h / (2 * math.log(2)), abs=1e-13)
 
     def test_first_branch_holds_below_snap_tolerance(self):
-        # exp(h) snaps to 1 here; the branch must stay h / (2 ln 2), not 0
+        # exp(h) rounds to 1 at the smallest h here; the branch must stay h / (2 ln 2), not 0
         for h in (1e-300, 1e-15, 1e-11, 1e-9):
             assert upper_fm(h) == h / (2 * math.log(2))
 
@@ -426,11 +425,22 @@ class TestUpperFM:
         h = np.array([0.0, 1e-300, 0.3, 2.5, 700.0, LOG_FLOAT_MAX] + knots)
         # e (e + 1) overflows to inf near LOG_FLOAT_MAX, as the float product does in upper_fm
         with np.errstate(over="ignore"):
-            got = _upper_fm(h, np.exp, np.log, np.log1p, snapped_ceil_array)
+            got = _upper_fm(h, np.exp, np.log, np.log1p, np.ceil)
         np.testing.assert_allclose(got, [upper_fm(x) for x in h.tolist()], rtol=1e-15, atol=0.0)
         # and with the primitives a sweep passes: every knot up to ln 8 is below ln 9
         got = entropy_columns(9, np.array(knots))["U_FM"]
         np.testing.assert_allclose(got, [upper_fm(x) for x in knots], rtol=1e-15, atol=0.0)
+
+    def test_exact_next_to_knots(self):
+        # the float pieces that meet at ln m agree there, so a plain ceiling is exact on either side
+        rng = np.random.default_rng(31)
+        offsets = [sign * s for sign in (-1, 1) for s in (1e-15, 1e-12, 1e-10, 9e-10)]
+        worst = 0.0
+        for m in range(1, 61):
+            for h in [math.log(m) + s for s in [*offsets, *rng.uniform(-1e-9, 1e-9, 6)]]:
+                if h > 0.0:
+                    worst = max(worst, abs(upper_fm(h) - float(_mp_upper_fm(h))))
+        assert worst <= 1e-15
 
     def test_monotone_nondecreasing(self):
         grid = np.linspace(0, math.log(30), 400)

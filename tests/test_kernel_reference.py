@@ -241,7 +241,7 @@ class UncheckedReport(BoundsReport):
 
 @st.composite
 def report_arguments(draw):
-    """(k, d, h) in domain, as DeltaValue and EntropyValue leave them, with d and h at their edges."""
+    """(k, d, h) in domain, as DeltaValue and EntropyValue leave them, with d and h at their edges and knots."""
     k = draw(st.one_of(st.integers(2, 9), st.integers(10, 10**7)))
     top = float(k - 1)
     d = draw(
@@ -260,6 +260,9 @@ def report_arguments(draw):
             st.floats(5e-324, 2.2e-308),
             st.integers(-8, 8).map(lambda j: log_k - H_SLACK + j * math.ulp(log_k)),
             st.floats(log_k - 1e-9, log_k + H_SLACK),
+            st.tuples(st.integers(1, k), st.floats(-1e-9, 1e-9)).map(
+                lambda m: min(max(math.log(m[0]) + m[1], 0.0), log_k)
+            ),
         )
     )
     return k, DeltaValue(d, k).delta, EntropyValue(h, k).h

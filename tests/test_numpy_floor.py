@@ -24,7 +24,7 @@ FLOOR_CHECKED = {
     "argwhere", "array", "asarray", "ascontiguousarray", "bool_", "broadcast_arrays",
     "ceil", "concatenate", "errstate", "exp", "finfo", "flatnonzero", "fromiter", "full", "inf", "int64",
     "integer", "linspace", "log", "log1p", "log2", "matmul", "maximum", "ndarray", "random",
-    "random.Generator", "random.default_rng", "repeat", "round", "shape", "sort", "spacing",
+    "random.Generator", "random.default_rng", "repeat", "shape", "sort", "spacing",
     "stack", "unravel_index", "where", "zeros",
 }
 

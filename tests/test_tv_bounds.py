@@ -26,7 +26,7 @@ from misbounds import (
     validate_joint,
     validate_profile,
 )
-from misbounds.tv_bounds import envelope_columns, snapped_ceil, snapped_ceil_array
+from misbounds.tv_bounds import envelope_columns
 
 
 class TestDelta:
@@ -176,7 +176,7 @@ class TestUpperBound:
                 ua, ub, uc = (upper_bound(k, x) for x in (a, b, c))
                 assert ua - 2 * ub + uc == pytest.approx(0.0, abs=1e-12)
 
-    def test_ceiling_snap_keeps_continuity(self):
+    def test_continuous_across_integer_nodes(self):
         for k in (3, 5, 8):
             for m in range(1, k - 1):
                 below = upper_bound(k, m - 1e-10)
@@ -184,6 +184,28 @@ class TestUpperBound:
                 node = upper_bound(k, float(m))
                 assert abs(below - node) < 1e-9
                 assert abs(above - node) < 1e-9
+
+    def test_exact_next_to_integer_nodes(self):
+        # U is the linear interpolation of 1 - 1/(k - j) between the integers j
+        # on either side of d; at these d the float pieces meet within an ulp
+        rng = np.random.default_rng(29)
+        worst = 0.0
+        for k in (2, 3, 5, 8, 13, 50):
+            for m in range(k):
+                offsets = [sign * s for sign in (-1, 1) for s in (1e-15, 1e-12, 1e-10, 9e-10)]
+                for d in [m + s for s in [*offsets, *rng.uniform(-1e-9, 1e-9, 8)] if 0 <= m + s <= k - 1]:
+                    exact = Fraction(d)
+                    j = max(math.ceil(exact), 1)
+                    node = lambda i: 1 - Fraction(1, k - i)  # noqa: E731
+                    want = node(j - 1) + (exact - (j - 1)) * (node(j) - node(j - 1))
+                    worst = max(worst, abs(Fraction(upper_bound(k, d)) - want))
+        assert worst <= 1e-14
+
+    def test_below_simpl_just_past_zero(self):
+        # the piece on [0, 1] at d in [1e-10, 1e-9]; the next piece, carried past 0, overshoots U_simpl
+        for k in range(2, 9):
+            for d in np.linspace(1e-10, 1e-9, 37).tolist():
+                assert upper_bound(k, d) <= upper_bound_simpl(k, d)
 
     def test_monotone_nonincreasing(self):
         for k in (2, 4, 7):
@@ -205,10 +227,6 @@ class TestUpperBoundSimpl:
 
 
 class TestEnvelopeColumns:
-    def test_snapped_ceil_array_matches_snapped_ceil(self):
-        x = np.array([0.0, 1e-10, 1 - 1e-10, 1 + 1e-10, 1 + 1e-8, 2.5, 3 - 2e-9, 1e20])
-        assert snapped_ceil_array(x).tolist() == [snapped_ceil(v) for v in x.tolist()]
-
     @pytest.mark.parametrize("k", [2, 3, 5, 9])
     def test_columns_equal_the_scalar_envelopes(self, k):
         ends = [k - 1 + 1e-10, -1e-10]
@@ -261,13 +279,21 @@ class TestExtremalProfiles:
 
     def test_profiles_are_valid_and_sorted(self):
         rng = np.random.default_rng(43)
-        for _ in range(300):
-            k = int(rng.integers(2, 9))
-            d = float(rng.uniform(0, k - 1))
+        cases = [(k, float(rng.uniform(0, k - 1))) for k in rng.integers(2, 9, 300).tolist()]
+        # and just either side of every integer separation, where the linear piece changes
+        cases += [
+            (k, m + s)
+            for k in range(2, 9)
+            for m in range(k)
+            for s in (-9e-10, -1e-10, 1e-10, 9e-10)
+            if 0 <= m + s <= k - 1
+        ]
+        for k, d in cases:
             for p in (extremal_low_profile(k, d), extremal_high_profile(k, d)):
                 assert p.a.min() >= -1e-15
                 assert p.a.sum() == pytest.approx(1.0, abs=1e-12)
                 assert all(x >= y - 1e-15 for x, y in zip(p.a, p.a[1:]))
+            assert abs((1 - extremal_high_profile(k, d).a.max()) - upper_bound(k, d)) <= 1e-15, (k, d)
 
     def test_low_profile_attains_target_on_grid(self):
         for k in range(2, 9):
