@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="csv"):
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    def add_common(p, default_format="csv", formats=("csv", "json")):
+        p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("report", help="evaluate every bound on one model or family member")
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sandwich-count", type=int, default=10000)
     p.add_argument("--brute-count", type=int, default=300)
-    add_common(p)
+    add_common(p, default_format="text", formats=("text", "json"))
 
     return parser
 

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import BadParamError, BadPermutationError, BadWeightsError, OutOfDomainError
-from .model import MASS_TOL, SIZE_LIMIT, JointModel, PosteriorProfile, clamp_array, floats, integer, integer_at_least, real, require_at_most, require_classes, validate_profile
+from .model import MASS_TOL, SIZE_LIMIT, JointModel, PosteriorProfile, clamp_array, floats, integer, integer_at_least, real, require_at_most, require_class_counts, require_classes, validate_profile
 
 
 class DomainWarning(UserWarning):
@@ -200,8 +200,8 @@ def comp_lo_profile(k: int, ell: int) -> PosteriorProfile:
     return PosteriorProfile(a=a)
 
 
-def _require_comp_hi_params(k, nu: float) -> None:
-    """nu > 1, and k an integer, or an integer array, above nu (so never a boolean)."""
+def _require_comp_hi_params(k, nu: float):
+    """k as require_class_counts returns it, once nu > 1 and k is an integer, or an integer array, above nu."""
     if not nu > 1.0:
         raise BadParamError(f"nu={nu!r} must exceed 1")
     if isinstance(k, np.ndarray):
@@ -210,11 +210,12 @@ def _require_comp_hi_params(k, nu: float) -> None:
         integral = isinstance(k, (int, np.integer))
     if not (integral and np.all(k > nu)):
         raise BadParamError(f"k={k!r} must be an integer > nu={nu}")
+    return require_class_counts(k)
 
 
 def comp_hi_profile(k: int, nu: float) -> PosteriorProfile:
     """One dominant entry 1-(nu-1)/k over a flat tail; separation k - nu."""
-    _require_comp_hi_params(k, nu)
+    k = _require_comp_hi_params(k, nu)
     require_at_most(k, SIZE_LIMIT, "classes")
     a = np.full(k, (nu - 1.0) / (k * (k - 1.0)))
     a[0] = 1.0 - (nu - 1.0) / k
@@ -228,8 +229,7 @@ def comp_hi_stats(k, nu: float) -> dict:
     cheap; values match the constructed profile to float accuracy.  k is one
     class count, giving floats, or an integer array of them, giving arrays.
     """
-    _require_comp_hi_params(k, nu)
-    kf = np.asarray(k, dtype=float)
+    kf = np.asarray(_require_comp_hi_params(k, nu), dtype=float)
     top = 1.0 - (nu - 1.0) / kf
     tail = (nu - 1.0) / (kf * (kf - 1.0))
     # 0 ln 0 = 0, for an entry that underflows at huge k

@@ -122,16 +122,16 @@ def require_class_counts(k):
 
     A float or bool array is refused as require_classes refuses a float or a
     bool; the scalar guard itself still refuses every array.  The counts are
-    widened to int64 so that k + 1 cannot wrap and log k is a double.
+    checked in their own dtype, so a uint64 count cannot wrap, then widened
+    to int64 so that k + 1 cannot wrap and log k is a double.
     """
     if not (isinstance(k, np.ndarray) and k.dtype.kind in "iu"):
         return require_classes(k)
-    counts = k.astype(np.int64)
-    if counts.size:
-        if counts.min() < 2:
-            raise TooFewClassesError(f"need at least 2 classes, got k={counts.min()}")
-        require_at_most(counts.max(), 2**53, "classes")
-    return counts
+    if k.size:
+        if k.min() < 2:
+            raise TooFewClassesError(f"need at least 2 classes, got k={k.min()}")
+        require_at_most(k.max(), 2**53, "classes")
+    return k.astype(np.int64)
 
 
 # The one work limit: no grid, stack, scan or enumeration may hold more entries.

@@ -322,6 +322,19 @@ class TestCompHiProfile:
         with pytest.raises(BadParamError, match="must be an integer"):
             comp_hi_stats(k, 2.0)
 
+    def test_stats_refuse_class_counts_above_two_to_the_53(self):
+        # above 2**53 not every class count is a double, so delta = k - nu would be rounded
+        for k in (2**53 + 1, np.array([3, 2**53 + 1]), np.array([3, 2**53 + 1], dtype=np.uint64)):
+            with pytest.raises(TooLargeError, match=f"^too many classes: {2**53 + 1}, over the limit of {2**53}$"):
+                comp_hi_stats(k, 2.0)
+        assert comp_hi_stats(2**53, 2.0)["delta"] == 2**53 - 2
+        assert comp_hi_stats(np.array([3, 2**53]), 2.0)["delta"].tolist() == [1.0, 2**53 - 2]
+        # the refusals of nu and of k at or below nu keep their messages
+        with pytest.raises(BadParamError, match=r"^nu=1\.0 must exceed 1$"):
+            comp_hi_stats(2**53 + 1, 1.0)
+        with pytest.raises(BadParamError, match=r"^k=2 must be an integer > nu=2\.5$"):
+            comp_hi_stats(2, 2.5)
+
     def test_stats_take_numpy_integers(self):
         assert comp_hi_stats(np.int32(7), 2.0) == comp_hi_stats(7, 2.0)
         assert comp_hi_stats(np.arange(3, 9, dtype=np.uint16), 2.0)["delta"].tolist() == [

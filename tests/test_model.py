@@ -220,6 +220,9 @@ def test_class_count_column_takes_integer_arrays_as_int64():
     assert require_class_counts(np.array([3, 2**53], dtype=np.uint64)).tolist() == [3, 2**53]
     with pytest.raises(TooLargeError, match=f"^too many classes: {2**53 + 1}, over the limit of {2**53}$"):
         require_class_counts(np.array([3, 2**53 + 1, 2]))
+    # checked before the widening to int64, where a uint64 count from 2**63 on would wrap below 2
+    with pytest.raises(TooLargeError, match=f"^too many classes: {2**63}, over the limit of {2**53}$"):
+        require_class_counts(np.array([3, 2**63], dtype=np.uint64))
     # the scalar guard refuses an integer array: its callers need one count
     with pytest.raises(BadParamError):
         require_classes(np.array([3, 4]))

@@ -832,6 +832,19 @@ class TestCli:
         results = json.loads(capsys.readouterr().out)
         assert results[0]["ok"] is True
 
+    def test_verify_formats_are_text_and_json(self, capsys):
+        argv = ["verify", "--suite", "extremal", "--seed", "1"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == text
+        assert text.endswith("all suites passed\n")
+        # verify writes no CSV, so it does not offer it
+        with pytest.raises(SystemExit) as refused:
+            main(argv + ["--format", "csv"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'csv' (choose from 'text', 'json')" in capsys.readouterr().err
+
     def test_verify_count_below_one_exits_one(self, capsys):
         argv = ["verify", "--suite", "sandwich", "brute_force", "--sandwich-count", "0"]
         assert main(argv + ["--brute-count", "-5", "--format", "json"]) == 1
