@@ -215,7 +215,7 @@ def _require_comp_hi_params(k, nu: float):
 
 def comp_hi_profile(k: int, nu: float) -> PosteriorProfile:
     """One dominant entry 1-(nu-1)/k over a flat tail; separation k - nu."""
-    k = _require_comp_hi_params(k, nu)
+    k = require_classes(_require_comp_hi_params(k, nu))
     require_at_most(k, SIZE_LIMIT, "classes")
     a = np.full(k, (nu - 1.0) / (k * (k - 1.0)))
     a[0] = 1.0 - (nu - 1.0) / k

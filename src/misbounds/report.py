@@ -472,9 +472,9 @@ def verify_oracle() -> dict:
     return {
         "suite": "oracle",
         "checked": sum(r.checked for r in reports),
-        "violations": sum(len(r.violations) for r in reports),
+        "violations": sum(v[-1] for r in reports for v in r.violations),
         "grids": [
-            {"k": r.k, "N": r.N, "checked": r.checked, "violations": len(r.violations)}
+            {"k": r.k, "N": r.N, "checked": r.checked, "violations": sum(v[-1] for v in r.violations)}
             for r in reports
         ],
         "ok": all(r.ok for r in reports),

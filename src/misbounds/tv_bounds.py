@@ -10,7 +10,8 @@ exhaustive oracle certifies the chain, attainment and strictness on simplex
 grids i/N as signs of cross-multiplied integers, with no float tolerance.
 Every check depends only on the sorted profile, so the oracle walks the
 partitions of N, weighted by their orderings; Fractions appear only in the
-violations it reports, one per ordering of a failing partition.
+violations it reports, one per failed check of a failing partition, each
+with the partition's ordering count.
 """
 
 from __future__ import annotations
@@ -75,15 +76,16 @@ def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
     return DeltaValue(delta=float(separations(profile.a[:, None])), k=profile.k)
 
 
-# The envelope formulas, written once for a float or an array of separations d
-# already in [0, k-1], with the ceiling that matches d: math.ceil for a float,
-# np.ceil for an array.  Each public bound below is its guard, _into_domain,
+# The envelope formulas, written once for a float, an array or a Fraction of
+# separations d already in [0, k-1], with the ceiling that matches d: math.ceil
+# for a float or a Fraction, np.ceil for an array.  On a Fraction they are
+# exact.  Each public bound below is its guard, _into_domain,
 # then its body; a report, whose DeltaValue has checked k and clamped d, and
 # envelope_columns call the bodies.
 
 
 def _lower(k, d):
-    return 1.0 - (1.0 + d) / k
+    return 1 - (1 + d) / k
 
 
 def _top(k, d, m):
@@ -92,11 +94,11 @@ def _top(k, d, m):
 
 
 def _upper(k, d, ceil):
-    return 1.0 - _top(k, d, ceil(d))
+    return 1 - _top(k, d, ceil(d))
 
 
 def _upper_simpl(k, d):
-    return 1.0 - 1.0 / (k - d)
+    return 1 - 1 / (k - d)
 
 
 def lower_bound(k: int, delta: float) -> float:
@@ -216,23 +218,6 @@ def _orderings(partition: tuple, k: int) -> int:
     return count
 
 
-def _distinct_orderings(c):
-    """Each distinct ordering of the sequence c once, in lexicographic order."""
-    a = sorted(c)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[: i : -1]
-
-
 def _upper_segment(k: int, N: int, m: int) -> tuple:
     """(P, T - D) on the segment whose separation has ceiling m, scaled by N.
 
@@ -264,8 +249,8 @@ def _scaled_high_profile(k: int, N: int, D: int, m: int, P: int, T: int):
     return None if top_rest or rem_rest else [top] * (k - m) + [rem] + [0] * (m - 1)
 
 
-def _violations(comp: tuple, k: int, N: int, D: int, P: int, T: int, sides: list) -> list:
-    """The recorded (profile, delta, value, bound, side) of each failed check, in Fractions."""
+def _violations(comp: tuple, k: int, N: int, D: int, P: int, T: int, sides: list, orderings: int) -> list:
+    """The recorded (comp, delta, value, bound, side, orderings) of each failed check, in Fractions."""
     d = Fraction(D, N)
     value = Fraction(N - max(comp), N)
     L = Fraction(k * N - N - D, k * N)
@@ -280,7 +265,7 @@ def _violations(comp: tuple, k: int, N: int, D: int, P: int, T: int, sides: list
         "low_iff": (value, L),
         "high_iff": (value, U),
     }
-    return [(comp, d, *compared[side], side) for side in sides]
+    return [(comp, d, *compared[side], side, orderings) for side in sides]
 
 
 def simplex_grid_oracle(k: int, N: int) -> OracleReport:
@@ -295,8 +280,10 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
     runs over the partitions of N into at most k parts, and each partition
     counts once per distinct ordering in checked and the equality counts.
     Every check is the sign of a cross-multiplied integer; Fractions are
-    built only to record a violation, once per ordering of a failing
-    partition.  k and N are taken as Python ints, so no check runs in
+    built only to record a violation, once per failed check of a failing
+    partition, as (partition padded with zeros to k, delta, value, bound,
+    side, orderings), so a failing grid records at most seven violations
+    per partition.  k and N are taken as Python ints, so no check runs in
     fixed-width numpy integers.
     """
     k = require_classes(k)
@@ -345,8 +332,7 @@ def simplex_grid_oracle(k: int, N: int) -> OracleReport:
             if c != _scaled_high_profile(k, N, D, m, P, T):
                 sides.append("high_iff")
         if sides:
-            for comp in _distinct_orderings(c):
-                violations.extend(_violations(comp, k, N, D, P, T, sides))
+            violations.extend(_violations(tuple(c), k, N, D, P, T, sides, orderings))
 
     violations.sort(key=lambda v: v[0])
     return OracleReport(

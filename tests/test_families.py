@@ -335,6 +335,12 @@ class TestCompHiProfile:
         with pytest.raises(BadParamError, match=r"^k=2 must be an integer > nu=2\.5$"):
             comp_hi_stats(2, 2.5)
 
+    @pytest.mark.parametrize("k", [np.array([5, 6]), np.array([5])])
+    def test_profile_refuses_an_array_of_class_counts(self, k):
+        # comp_hi_stats takes an array of k, but one profile has one k
+        with pytest.raises(BadParamError, match=r"^k=array\(\[5.*must be an integer >= 2$"):
+            comp_hi_profile(k, 2.0)
+
     def test_stats_take_numpy_integers(self):
         assert comp_hi_stats(np.int32(7), 2.0) == comp_hi_stats(7, 2.0)
         assert comp_hi_stats(np.arange(3, 9, dtype=np.uint16), 2.0)["delta"].tolist() == [

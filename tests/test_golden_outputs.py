@@ -10,6 +10,9 @@ The manifest records the Python and numpy versions it was made under, since
 another numpy may round a ufunc differently in the last bit.  To rewrite it:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+To see which cells of these commands a change alters, and by how much,
+run tests/golden_diff.py on the two source trees.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv: list, folder: Path) -> dict:
-    """The sha256 of stdout and stderr and the exit code of one command, with its model files in folder."""
+def capture(argv: list, folder: Path) -> dict:
+    """The stdout, stderr and exit code of one command, with its model files in folder."""
     paths = {}
     for key, (name, text) in MODEL_FILES.items():
         paths[key] = str(folder / name)
@@ -86,7 +89,13 @@ def run(argv: list, folder: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([paths.get(arg, arg) for arg in argv])
-    return {"stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue()), "exit": code}
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def run(argv: list, folder: Path) -> dict:
+    """The sha256 of stdout and stderr and the exit code of one command, with its model files in folder."""
+    got = capture(argv, folder)
+    return {"stdout": sha256(got["stdout"]), "stderr": sha256(got["stderr"]), "exit": got["exit"]}
 
 
 def load_manifest() -> dict:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from misbounds import tv_bounds
-from misbounds.tv_bounds import _distinct_orderings, _orderings, simplex_grid_oracle
+from misbounds.tv_bounds import _lower, _orderings, _upper, _upper_simpl, simplex_grid_oracle
 from simplex_grids import compositions
 
 # the oracle's enumerator itself, kept here before any test patches it
@@ -89,13 +89,31 @@ def reference_oracle(k, N, u_shift=0, grid=compositions):
     return checked, low_eq, high_eq, violations
 
 
+def per_partition(violations):
+    """The reference's per-composition records as the oracle records them: one per
+    partition and side, (padded sorted composition, delta, value, bound, side, count).
+
+    Every composition of a partition must have recorded the same values."""
+    groups = {}
+    for comp, *record in violations:
+        groups.setdefault((tuple(sorted(comp, reverse=True)), record[-1]), []).append(tuple(record))
+    records = []
+    for (partition, _), group in groups.items():
+        assert len(set(group)) == 1, group
+        records.append((partition, *group[0], len(group)))
+    records.sort(key=lambda v: v[0])
+    return tuple(records)
+
+
 def assert_same_report(k, N, u_shift=0, grid=compositions):
     """The oracle's report equals the reference's, field by field; returns it."""
     checked, low_eq, high_eq, violations = reference_oracle(k, N, u_shift, grid)
+    records = per_partition(violations)
     got = simplex_grid_oracle(k, N)
     assert (got.checked, got.low_equalities, got.high_equalities) == (checked, low_eq, high_eq)
-    assert got.violations == tuple(violations)
-    assert got == tv_bounds.OracleReport(k, N, checked, low_eq, high_eq, tuple(violations))
+    assert got.violations == records
+    assert sum(v[-1] for v in got.violations) == len(violations)
+    assert got == tv_bounds.OracleReport(k, N, checked, low_eq, high_eq, records)
     return got
 
 
@@ -147,10 +165,10 @@ def test_violations_match_the_reference_when_the_checks_fail(monkeypatch, k, N):
 
     Off-grid profiles, the oracle's partitions and the reference's
     compositions of N - 1, N and N + 1, break L <= p*, p* <= U and both iff
-    checks; each failing partition must record every one of its orderings,
-    in the reference's order.  Raising or lowering U by one grid unit
-    breaks U <= U_simpl, the integer tie and strictness.  Together they
-    fire all seven sides at k = 3.
+    checks; each failing partition must record each failed side once, with
+    the number of the reference's compositions that sort to it.  Raising or
+    lowering U by one grid unit breaks U <= U_simpl, the integer tie and
+    strictness.  Together they fire all seven sides at k = 3.
     """
     fired = Counter()
     with monkeypatch.context() as patch:
@@ -171,6 +189,22 @@ def test_violations_match_the_reference_when_the_checks_fail(monkeypatch, k, N):
     assert sides <= set(fired)
 
 
+def test_a_failing_grid_records_each_partition_once(monkeypatch):
+    """Lowering U everywhere breaks p* <= U on all 245,157 profiles of (8, 16), but
+    the oracle records at most one violation per side of each of its 186
+    partitions, and their orderings still count every profile."""
+    segment = tv_bounds._upper_segment
+    monkeypatch.setattr(
+        tv_bounds, "_upper_segment", lambda k, N, m: (segment(k, N, m)[0], segment(k, N, m)[1] + 10**6)
+    )
+    assert len(list(_partitions(16, 8))) == 186
+    got = simplex_grid_oracle(8, 16)
+    assert got.checked == math.comb(23, 7) == 245_157
+    assert not got.ok
+    assert len(got.violations) <= 7 * 186
+    assert sum(v[5] for v in got.violations if v[4] == "above_upper") == got.checked
+
+
 # --- the partition enumerator -------------------------------------------------
 
 
@@ -188,16 +222,12 @@ def test_partitions_weighted_by_orderings_count_every_composition(k):
 
 @pytest.mark.parametrize("k, N", [(2, 9), (3, 12), (4, 10), (5, 8), (6, 7), (8, 6)])
 def test_partitions_are_the_sorted_compositions(k, N):
-    """Each composition sorts to exactly one partition, and each partition expands
-    to exactly its number of orderings, all distinct and all sorting back to it."""
+    """Each composition sorts to exactly one partition, and each partition's
+    orderings count the compositions that sort to it."""
     by_partition = Counter(tuple(x for x in sorted(c, reverse=True) if x) for c in compositions(N, k))
     assert set(_partitions(N, k)) == set(by_partition)
     for p in _partitions(N, k):
-        padded = p + (0,) * (k - len(p))
-        expanded = list(_distinct_orderings(padded))
-        assert len(set(expanded)) == len(expanded) == _orderings(p, k) == by_partition[p]
-        assert expanded == sorted(expanded)
-        assert all(tuple(sorted(c, reverse=True)) == padded for c in expanded)
+        assert _orderings(p, k) == by_partition[p]
 
 
 def test_partitions_and_orderings_at_extreme_class_counts():
@@ -209,6 +239,19 @@ def test_partitions_and_orderings_at_extreme_class_counts():
     assert _orderings((1,), 10**7) == 10**7
     assert _orderings((1, 1), 3000) == math.comb(3000, 2)
     assert _orderings((2, 1, 1), 10**6) == 10**6 * math.comb(10**6 - 1, 2)
+
+
+# --- the separation bodies in exact arithmetic --------------------------------
+
+
+def test_separation_bodies_are_exact_on_fractions():
+    for k in range(2, 9):
+        for i in range(12 * (k - 1) + 1):
+            d = Fraction(i, 12)
+            L, U, U_simpl, _ = rational_bounds(k, d)
+            got = (_lower(k, d), _upper(k, d, math.ceil), _upper_simpl(k, d))
+            assert all(type(value) is Fraction for value in got), got
+            assert got == (L, U, U_simpl)
 
 
 # --- the separation chain on whole joint models ------------------------------
