@@ -119,10 +119,7 @@ def _cmd_report(args) -> tuple:
         rep = BoundsReport.from_model(load_model(args.model))
     else:
         built = from_spec(json.loads(args.family))
-        if isinstance(built, JointModel):
-            rep = BoundsReport.from_model(built)
-        else:
-            rep = BoundsReport.from_profile(built)
+        rep = BoundsReport.from_model(built if isinstance(built, JointModel) else built.as_model())
     if args.format == "json":
         return json.dumps(rep.as_dict(), indent=2) + "\n", EXIT_OK
     return rows_to_csv([rep.as_dict()]), EXIT_OK

@@ -1,7 +1,7 @@
 """Entropy-based bounds on the Bayes error, and a counterexample evaluator.
 
-Conditional Shannon entropy H in nats, one posterior_entropies sum for
-models, profiles and stacks alike, pins the Bayes error between the
+Conditional Shannon entropy H in nats, one posterior_entropies sum for a
+model and for a profile as its k x 1 model, pins the Bayes error between the
 Feder-Merhav bounds: the lower bound inverts the strictly increasing map
 phi(p) = p ln(k-1) + h2(p) by a safeguarded Newton iteration that is
 accurate relative to p, so it stays a lower bound for tiny p*, and the upper
@@ -88,8 +88,9 @@ def _plogp(p: np.ndarray) -> np.ndarray:
 def posterior_entropies(posteriors: np.ndarray, mass) -> np.ndarray:
     """Unclamped mass-weighted Shannon entropy in nats of the (..., k, m) posteriors of a model or stack.
 
-    A model passes its m live column posteriors and their marginals; a
-    profile, or each of a stack, is one column of unit mass.  Each posterior
+    Each posterior is a column with mass divided by its float sum, and that
+    sum weights its entropy: a model passes its m live columns, and a
+    (B, k, 1) stack its B profiles, each as its k x 1 model.  Each posterior
     is summed over the last axis of the transposed view, so a model's column
     posteriors, which boolean indexing leaves column-major, sum contiguously.
     """
@@ -114,8 +115,8 @@ def conditional_entropy(model: JointModel) -> EntropyValue:
 
 
 def entropy_of_profile(profile: PosteriorProfile) -> EntropyValue:
-    """Shannon entropy of one posterior profile, in nats: one column of unit mass."""
-    return EntropyValue(h=float(posterior_entropies(profile.a[:, None], 1.0)), k=profile.k)
+    """Shannon entropy of one posterior profile, in nats: the H of the k x 1 model it is."""
+    return conditional_entropy(profile.as_model())
 
 
 def _h2(p: float) -> float:
@@ -291,8 +292,8 @@ def renyi_conditional_entropy(model: JointModel, beta: float) -> RenyiValue:
     is collapsed by the order-beta power sum, then mixed by the column
     marginal.  beta = 1 is the Shannon limit, H(Y|X) in bits.
     """
-    if not beta > 0.0:
-        raise BadBetaError(f"beta={beta!r} must be positive")
+    # 0 < beta < inf: the least and the greatest positive finite doubles
+    beta = clamp(beta, math.ulp(0.0), math.nextafter(math.inf, 0.0), 0.0, BadBetaError, "beta")
     ratio, mu = _column_posteriors(model)
     if beta == 1.0:
         return RenyiValue(h_beta=float(posterior_entropies(ratio, mu)) / math.log(2.0), beta=beta)

@@ -89,8 +89,8 @@ def _integer_or_none(value) -> int | None:
 
 
 def real(value) -> float:
-    """float(value), which refuses None and [0.3]; a bool or a string, which float would coerce, is refused too."""
-    if isinstance(value, (str, bytes, bool, np.bool_)):
+    """float(value), which refuses None and [0.3]; a bool, a string or an array, which float would coerce, is refused too."""
+    if isinstance(value, (str, bytes, bool, np.bool_, np.ndarray)):
         raise TypeError(f"{value!r} is not a real number")
     return float(value)
 
@@ -144,11 +144,15 @@ def require_at_most(count, limit, what: str) -> None:
         raise TooLargeError(f"too many {what}: {count}, over the limit of {limit}")
 
 
-def clamp(value: float, lo: float, hi: float, slack: float, error: type, name: str) -> float:
-    """Clamp value onto [lo, hi], or raise `error` if it is NaN or beyond `slack` of it."""
-    if not lo - slack <= value <= hi + slack:
+def clamp(value, lo: float, hi: float, slack: float, error: type, name: str) -> float:
+    """Clamp value, read as real reads it, onto [lo, hi]; raise `error` if real refuses it, or it is NaN or beyond `slack` of it."""
+    try:
+        number = value if type(value) is float else real(value)
+    except (TypeError, ValueError, OverflowError):
+        number = float("nan")
+    if not lo - slack <= number <= hi + slack:
         raise error(f"{name}={value!r} outside [{lo!r}, {hi!r}]")
-    return min(max(value, lo), hi)
+    return min(max(number, lo), hi)
 
 
 def clamp_array(values, lo, hi, slack: float, error: type, name: str) -> np.ndarray:

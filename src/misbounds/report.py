@@ -36,7 +36,6 @@ from .entropy import (
     _upper_fm,
     conditional_entropy,
     entropy_columns,
-    entropy_of_profile,
     ep_counterexample_check,
     phi,
     posterior_entropies,
@@ -147,13 +146,8 @@ class BoundsReport:
 
     @classmethod
     def from_profile(cls, profile: PosteriorProfile) -> "BoundsReport":
-        w = profile.a[:, None]
-        return cls._evaluate(
-            profile.k,
-            delta_of_profile(profile).delta,
-            entropy_of_profile(profile).h,
-            float(error_of_labels(w, w.argmax(axis=0))),
-        )
+        """The report of the k x 1 model the profile is."""
+        return cls.from_model(profile.as_model())
 
     def as_dict(self) -> dict:
         """The fields in declaration order, then log10 of p* and of each bound."""
@@ -184,15 +178,16 @@ def _check_chain(columns: dict) -> None:
 def _profile_columns(k: int, profiles: np.ndarray) -> dict:
     """The fields of BoundsReport.from_profile, as columns, for a (B, k) stack of profiles.
 
-    Each profile is a k x 1 model of the stack w whose one column has unit
-    mass, as from_profile takes it.  Each column is clamped once, and each
+    Each profile is a k x 1 model of the stack w, its column divided by its
+    float sum and weighted by it.  Each column is clamped once, and each
     bound is the body a report runs; L_FM is _lower_fm_column, one Newton
     pass that gives each row _lower_fm's float.  The chains are checked.
     """
     w = profiles[..., None]
+    mass = w.sum(axis=-2)
     columns = {
         **envelope_columns(k, separations(w)),
-        **entropy_columns(k, posterior_entropies(w, 1.0)),
+        **entropy_columns(k, posterior_entropies(w / mass[:, None], mass)),
         "p_star": error_of_labels(w, w.argmax(axis=-2)),
     }
     columns["L_FM"] = _lower_fm_column(k, columns["entropy_nats"])
@@ -442,6 +437,7 @@ def verify_sandwich(count: int = 10000, seed: int = 0) -> dict:
     A refused report is raised again with the seed, index, k and n of its model.
     """
     count = integer_at_least(count, "count", 1)
+    seed = integer_at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     worst = math.inf
     worst_site = None
@@ -504,6 +500,7 @@ def verify_extremal() -> dict:
 def verify_brute_force(count: int = 300, seed: int = 0) -> dict:
     """Closed-form Bayes error against exhaustive classifier enumeration."""
     count = integer_at_least(count, "count", 1)
+    seed = integer_at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     pairs = [(k, n) for k in range(2, 9) for n in range(1, 7) if k**n <= 10**5]
     worst = 0.0

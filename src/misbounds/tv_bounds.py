@@ -73,7 +73,7 @@ def delta(model: JointModel) -> DeltaValue:
 
 def delta_of_profile(profile: PosteriorProfile) -> DeltaValue:
     """Separation of a single posterior profile, the k x 1 model it is."""
-    return DeltaValue(delta=float(separations(profile.a[:, None])), k=profile.k)
+    return delta(profile.as_model())
 
 
 # The envelope formulas, written once for a float, an array or a Fraction of

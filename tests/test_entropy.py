@@ -5,6 +5,7 @@ High-precision reference values in this file were produced with mpmath at
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -506,6 +507,22 @@ class TestRenyi:
             renyi_conditional_entropy(m, 0.0)
         with pytest.raises(BadBetaError):
             renyi_conditional_entropy(m, -2.0)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, "2", None, True, [2.0], np.array([2.0]), pytest.param(10**400, id="10**400")], ids=repr)
+    def test_infinite_or_non_real_beta_refused_without_warnings(self, beta):
+        # beta = inf used to give h_beta = nan with two RuntimeWarnings
+        m = validate_joint([[0.5], [0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadBetaError, match="^beta="):
+                renyi_conditional_entropy(m, beta)
+
+    def test_beta_is_read_as_a_float(self):
+        m = validate_joint([[0.4, 0.1], [0.1, 0.4]])
+        for beta in (2, np.float64(2.0), np.int64(2)):
+            value = renyi_conditional_entropy(m, beta)
+            assert value == renyi_conditional_entropy(m, 2.0)
+            assert type(value.beta) is float
 
 
 class TestCounterexample:

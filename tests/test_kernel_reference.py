@@ -4,8 +4,9 @@ Separation, conditional entropy and the Bayes error were each written
 separately for scalar models, scalar profiles and (B, k) profile stacks.
 The reference functions below are those implementations as they were: the
 row-sum rank-weight dot product and its per-row loop over a stack, the
-masked p ln p, the entropy summed per posterior column, and the mass off
-chosen labels from a zeroed copy.  Every statistic of today's kernels, and
+masked p ln p, the entropy summed per posterior column, which a profile and
+each row of a stack take as their k x 1 model, and the mass off chosen
+labels from a zeroed copy.  Every statistic of today's kernels, and
 every field of a report, must equal them exactly.  A report's bounds come
 from the bodies of the public bound functions, so they are also checked
 against those functions, guard and all.
@@ -73,12 +74,8 @@ def reference_conditional_entropy(w: np.ndarray) -> float:
     return -float((mu[live] * reference_plogp(ratio).sum(axis=0)).sum())
 
 
-def reference_entropy_of_profile(a: np.ndarray) -> float:
-    return -float(reference_plogp(a).sum())
-
-
 def reference_profile_entropies(profiles: np.ndarray) -> np.ndarray:
-    return -reference_plogp(profiles).sum(axis=1)
+    return np.array([reference_conditional_entropy(a[:, None]) for a in profiles])
 
 
 def reference_mass_off(w: np.ndarray, rows: np.ndarray) -> float:
@@ -296,7 +293,7 @@ def test_profile_statistics_match_reference(profile):
         reference_pairwise_abs_sum(a[:, None]), profile.k
     ).delta
     assert entropy_of_profile(profile).h == EntropyValue(
-        reference_entropy_of_profile(a), profile.k
+        reference_conditional_entropy(a[:, None]), profile.k
     ).h
     assert bayes_error(profile.as_model()) == reference_mass_off(a[:, None], [a.argmax()])
 
@@ -306,7 +303,7 @@ def assert_from_profile_matches_reference(profile):
     reference = reference_report(
         profile.k,
         reference_pairwise_abs_sum(a[:, None]),
-        reference_entropy_of_profile(a),
+        reference_conditional_entropy(a[:, None]),
         reference_mass_off(a[:, None], [a.argmax()]),
     )
     assert_same_report(outcome(lambda: BoundsReport.from_profile(profile)), reference)
@@ -323,8 +320,9 @@ def test_from_profile_matches_reference_field_by_field(profile):
 
 def assert_stack_matches_reference(stack: np.ndarray):
     w = stack[..., None]
+    mass = w.sum(axis=-2)
     seps = separations(w)
-    ents = posterior_entropies(w, 1.0)
+    ents = posterior_entropies(w / mass[:, None], mass)
     errors = error_of_labels(w, w.argmax(axis=-2))
     assert seps.tolist() == reference_profile_separations(stack).tolist()
     assert ents.tolist() == reference_profile_entropies(stack).tolist()

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,11 +300,22 @@ def test_every_x_entry_returns_finite_in_range_or_a_typed_error(entry, k, x):
     assert np.all((lo - RANGE_ROUNDING <= value) & (value <= hi + RANGE_ROUNDING))
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+NOT_REAL = [None, True, np.True_, "0.5", b"0.5", [0.5], np.array(0.5), np.array([0.5]), np.array([0.5, 1.5]), 1j, pytest.param(10**400, id="10**400")]
+
+
+# clamp reads a value that real refuses as NaN, so it is refused as NaN is, by name
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, *NOT_REAL], ids=repr)
 @pytest.mark.parametrize("entry", sorted(X_ENTRIES))
 def test_every_x_entry_refuses_nonfinite(entry, x):
-    with pytest.raises(MisboundsError):
+    with pytest.raises(MisboundsError, match="="):
         X_ENTRIES[entry][0](3, x)
+
+
+@pytest.mark.parametrize("x", [1, np.float64(0.5), np.int64(1), np.float32(0.25), Fraction(1, 2)], ids=repr)
+def test_clamp_reads_a_real_number_as_a_python_float(x):
+    got = clamp(x, 0.0, 2.0, 1e-12, ValueError, "x")
+    assert type(got) is float
+    assert got == float(x)
 
 
 class TestMarginalPosterior:

@@ -25,7 +25,9 @@ from misbounds import (
     comp_hi_stats,
     compare_hi_scan,
     compare_lo_rows,
+    conditional_entropy,
     d_lower_margin,
+    entropy_of_profile,
     exponential_profile,
     fig1_rows,
     fig2_rows,
@@ -94,14 +96,20 @@ class TestBoundsReport:
             assert value == pytest.approx(0.0, abs=1e-11)
 
     def test_profile_and_model_routes_agree(self):
-        prof = validate_profile([0.55, 0.25, 0.2])
-        from_prof = BoundsReport.from_profile(prof)
-        column = np.array([[0.55], [0.25], [0.2]])
-        from_model = BoundsReport.from_model(validate_joint(column))
-        for field in ("delta", "entropy_nats", "p_star", "L", "U", "U_simpl", "L_FM", "U_FM"):
-            assert getattr(from_prof, field) == pytest.approx(
-                getattr(from_model, field), abs=1e-12
-            )
+        # 600 family profiles and 2,000 flat Dirichlet ones; a profile taken
+        # as one column of unit mass, not divided by its float sum, differed
+        # from its model on 748 of them
+        qs = np.linspace(0.005, 0.5, 100).tolist()
+        sample = [validate_profile([0.55, 0.25, 0.2])]
+        sample += [exponential_profile(k, q) for k in (2, 4, 8) for q in qs]
+        sample += [binomial_profile(m, q) for m in (1, 2, 3) for q in qs]
+        rng = np.random.default_rng(0)
+        sample += [validate_profile(rng.dirichlet(np.ones(int(rng.integers(2, 9))))) for _ in range(2000)]
+        for profile in sample:
+            model = profile.as_model()
+            from_model = BoundsReport.from_model(model)
+            assert dataclasses.astuple(BoundsReport.from_profile(profile)) == dataclasses.astuple(from_model)
+            assert entropy_of_profile(profile).h == conditional_entropy(model).h
 
     def test_entropy_lower_bound_holds_in_the_far_tail(self):
         # p* ~ 1e-15 lies far below any absolute tolerance on the inverse
@@ -407,11 +415,12 @@ class TestSweepsMatchTheScalarPath:
         rows = fig2_rows()
         assert len(rows) == 606
         for row in rows:
-            rep = BoundsReport.from_profile(three_class_profile(row["p"], row["eps"]))
-            want = {"p": row["p"], "eps": row["eps"]}
-            for name in ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star"):
-                want[f"log10_{name}"] = log10_or_none(getattr(rep, name))
-            assert_cells_identical(row, want)
+            profile = three_class_profile(row["p"], row["eps"])
+            for rep in (BoundsReport.from_profile(profile), BoundsReport.from_model(profile.as_model())):
+                want = {"p": row["p"], "eps": row["eps"]}
+                for name in ("L", "U", "U_simpl", "L_FM", "U_FM", "p_star"):
+                    want[f"log10_{name}"] = log10_or_none(getattr(rep, name))
+                assert_cells_identical(row, want)
 
     def test_fig3_rows_equal_from_profile_bit_for_bit(self):
         rows = fig3_rows()
@@ -422,10 +431,10 @@ class TestSweepsMatchTheScalarPath:
                 profile = binomial_profile(int(round(math.log2(k))), q)
             else:
                 profile = exponential_profile(k, q)
-            rep = BoundsReport.from_profile(profile)
-            want = {"family": row["family"], "k": k, "q": q}
-            want.update((name, getattr(rep, name)) for name in FIG3_FIELDS)
-            assert_cells_identical(row, want)
+            for rep in (BoundsReport.from_profile(profile), BoundsReport.from_model(profile.as_model())):
+                want = {"family": row["family"], "k": k, "q": q}
+                want.update((name, getattr(rep, name)) for name in FIG3_FIELDS)
+                assert_cells_identical(row, want)
 
     def test_sweeps_never_call_the_scalar_inverse(self, monkeypatch):
         def refuse(k, h):
@@ -576,6 +585,12 @@ class TestVerifySuites:
         with pytest.raises(BadParamError):
             suite(count=count)
 
+    @pytest.mark.parametrize("suite", [verify_sandwich, verify_brute_force])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_that_is_not_a_nonnegative_integer_rejected_by_name(self, suite, seed):
+        with pytest.raises(BadParamError, match=f"^seed={re.escape(repr(seed))} must be an integer >= 0$"):
+            suite(2, seed)
+
 
 class TestSerialization:
     def test_csv_shape_and_empty_cells(self):
@@ -631,6 +646,16 @@ class TestCli:
         assert main(["report", "--family", spec]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["p_star"] == pytest.approx(3 / 7, abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_family_prints_what_report_prints_on_its_entries_as_a_csv(self, fmt, tmp_path, capsys):
+        spec = {"family": "binomial", "m": 3, "q": 0.2}
+        path = tmp_path / "profile.csv"
+        path.write_text("".join(f"{a!r}\n" for a in from_spec(spec).a.tolist()))
+        assert main(["report", "--family", json.dumps(spec), "--format", fmt]) == 0
+        from_family = capsys.readouterr()
+        assert main(["report", str(path), "--format", fmt]) == 0
+        assert capsys.readouterr() == from_family
 
     def test_report_near_deterministic_family_keeps_upper_fm_above(self, capsys):
         for q in (2e-11, 1e-12):
@@ -844,6 +869,13 @@ class TestCli:
             main(argv + ["--format", "csv"])
         assert refused.value.code == 2
         assert "invalid choice: 'csv' (choose from 'text', 'json')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["sandwich", "brute_force"])
+    def test_verify_negative_seed_exits_one_naming_the_seed(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed=-1 must be an integer >= 0\n"
 
     def test_verify_count_below_one_exits_one(self, capsys):
         argv = ["verify", "--suite", "sandwich", "brute_force", "--sandwich-count", "0"]
